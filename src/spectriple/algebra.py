@@ -7,18 +7,25 @@ stored through their 2x2 complex embedding
     a = x0 + i x1, b = x2 + i x3,
 so there is a single matrix code path for every block family.
 
+Products are summand-local: basis elements of different summands multiply
+to zero, so an element product only forms the blocks where both factors are
+nonzero, and single-block basis products come from a memoized table.
+
 Representations embed coordinate vectors real-linearly into operators; they
 are validated eagerly at construction (star-compatibility on basis elements,
 multiplicativity on basis pairs), because every downstream theorem check
-assumes it is acting through an actual *-homomorphism.
+assumes it is acting through an actual *-homomorphism.  Every basis pair is
+checked exactly: a cross-summand pair as pi(e_k) pi(e_l) = 0, a same-summand
+pair against the image of the tabulated product e_k e_l.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import scalars
-from .matrices import Matrix, real_vector, support_union
+from .matrices import Matrix, _stored_zero, real_vector, support_union
 from .scalars import QI, conj, is_zero
 from .subspaces import Echelon, RealSubspaceBasis, real_nullspace, solve_real_linear
 
@@ -155,6 +162,13 @@ def _coords_from_block(kind: BlockKind, block):
     return coords
 
 
+@lru_cache(maxsize=None)
+def _block_basis_products(kind: BlockKind, exact: bool) -> tuple:
+    """Coordinates of e_i e_j for the basis of one block: table[i][j]."""
+    blocks = [e.blocks()[0] for e in basis_elements(AlgebraSpec((kind,)), exact)]
+    return tuple(tuple(tuple(_coords_from_block(kind, _mat_mul(a, b))) for b in blocks) for a in blocks)
+
+
 @dataclass(frozen=True)
 class AlgebraElement:
     spec: AlgebraSpec
@@ -201,11 +215,25 @@ class AlgebraElement:
         return AlgebraElement(self.spec, tuple(factor * a for a in self.coords))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        """Blockwise product; C blocks commute, H and M_n(C) need not."""
+        """Blockwise product; C blocks commute, H and M_n(C) need not.
+
+        A summand where either factor vanishes is zero in the product and is
+        not multiplied.
+        """
         self._same_spec(other)
-        return AlgebraElement.from_blocks(
-            self.spec, [_mat_mul(a, b) for a, b in zip(self.blocks(), other.blocks())]
-        )
+        exact_a, exact_b = self._exact(), other._exact()
+        zero = scalars.RATIONAL_ZERO if exact_a and exact_b else 0.0
+        coords, pos = [], 0
+        for kind in self.spec.summands:
+            end = pos + kind.real_dim
+            xa, xb = self.coords[pos:end], other.coords[pos:end]
+            if any(xa) and any(xb):
+                a, b = _block_from_coords(kind, xa, exact_a), _block_from_coords(kind, xb, exact_b)
+                coords.extend(_coords_from_block(kind, _mat_mul(a, b)))
+            else:
+                coords.extend((zero,) * kind.real_dim)
+            pos = end
+        return AlgebraElement(self.spec, tuple(coords))
 
     def star(self) -> "AlgebraElement":
         """The involution: blockwise conjugate transpose."""
@@ -352,7 +380,6 @@ class Representation:
                 raise RepresentationError(
                     f"placement for summand {p.summand} needs {md} rows/cols"
                 )
-        offsets = spec.offsets()
         mats = []
         for k in range(spec.real_dimension):
             e = basis_element(spec, k, exact)
@@ -365,22 +392,41 @@ class Representation:
                 for r, i in enumerate(p.rows):
                     for c, j in enumerate(p.cols):
                         v = block[r][c]
-                        if not _is_stored_zero(v):
+                        if not _stored_zero(v):
                             items.append((i, j, v))
             mats.append(Matrix.from_entries(dim, dim, items, exact))
-        _ = offsets
         return cls(spec, dim, mats, plan=placements, validate=validate)
 
     def validate(self) -> None:
-        """Check star-compatibility and multiplicativity on basis pairs."""
-        basis = basis_elements(self.spec, self._exact())
-        for k, e in enumerate(basis):
-            if self.apply(e.star()) != self.basis_matrices[k].adjoint():
+        """Check star-compatibility and multiplicativity on basis pairs.
+
+        Each pair (k, l) forms the one product pi(e_k) pi(e_l).  When e_k and
+        e_l lie in different summands, e_k e_l = 0 and the product must be
+        zero; otherwise it must equal the image of e_k e_l, read from the
+        block's basis-product table.
+        """
+        exact = self._exact()
+        mats = self.basis_matrices
+        for k, e in enumerate(basis_elements(self.spec, exact)):
+            if self.apply(e.star()) != mats[k].adjoint():
                 raise RepresentationError(f"star-compatibility fails on basis element {k}")
-        for k, a in enumerate(basis):
-            ma = self.basis_matrices[k]
-            for l, b in enumerate(basis):
-                if self.apply(a * b) != ma @ self.basis_matrices[l]:
+        zero = scalars.RATIONAL_ZERO if exact else 0.0
+        summands, d = self.spec.summands, self.spec.real_dimension
+        # (summand, offset, local index) of every basis coordinate
+        owner = [(s, off, i) for s, off in enumerate(self.spec.offsets())
+                 for i in range(summands[s].real_dim)]
+        for k, (sk, off, i) in enumerate(owner):
+            ma = mats[k]
+            table = _block_basis_products(summands[sk], exact)
+            for l, (sl, _, j) in enumerate(owner):
+                prod = ma @ mats[l]
+                if sk != sl:
+                    ok = prod.is_zero()
+                else:
+                    local = table[i][j]
+                    coords = (zero,) * off + local + (zero,) * (d - off - len(local))
+                    ok = self.apply(AlgebraElement(self.spec, coords)) == prod
+                if not ok:
                     raise RepresentationError(f"multiplicativity fails on basis pair ({k}, {l})")
 
     def _exact(self) -> bool:
@@ -452,8 +498,3 @@ class Representation:
     def __repr__(self):
         return f"Representation({'+'.join(self.spec.labels())} on C^{self.dim})"
 
-
-def _is_stored_zero(v):
-    if isinstance(v, QI):
-        return not v
-    return v == 0

@@ -27,10 +27,16 @@ from .twist import TwistError, eigenprojections, twist_by_grading
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; --tol holds only for this call."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol", None):
-        scalars.set_tolerance(args.tol)
+    previous = scalars.get_tolerance()
+    if args.tol is not None:
+        try:
+            scalars.set_tolerance(args.tol)
+        except ValueError as exc:
+            print(f"error: --tol {args.tol}: {exc}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError, DocumentError) as exc:
@@ -39,6 +45,8 @@ def main(argv=None) -> int:
     except (RepresentationError, TwistError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
+    finally:
+        scalars.set_tolerance(previous)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -84,16 +84,20 @@ def _emit_plan(plan) -> list:
     ]
 
 
-def _parse_plan(items, where: str) -> list[Placement]:
+def _parse_plan(items, dim: int, where: str) -> list[Placement]:
+    if not isinstance(items, list):
+        raise DocumentError(f"{where}: a plan is a list of placements")
     out = []
     for k, item in enumerate(items):
         try:
-            out.append(
-                Placement(int(item["summand"]), tuple(item["rows"]), tuple(item["cols"]),
+            p = Placement(int(item["summand"]), tuple(item["rows"]), tuple(item["cols"]),
                           bool(item.get("conj", False)))
-            )
         except (KeyError, TypeError, ValueError) as exc:
             raise DocumentError(f"{where}[{k}]: bad placement: {exc}") from None
+        for slot in p.rows + p.cols:
+            if type(slot) is not int or not 0 <= slot < dim:
+                raise DocumentError(f"{where}[{k}]: slot {slot!r} outside 0..{dim - 1}")
+        out.append(p)
     return out
 
 
@@ -152,9 +156,12 @@ def parse_document(doc: dict) -> ParsedDocument:
         raise DocumentError("mode must be 'exact' or 'float'")
     exact = mode == "exact"
 
+    labels = doc.get("algebra")
+    if not isinstance(labels, list) or not all(isinstance(lbl, str) for lbl in labels):
+        raise DocumentError("algebra must be a list of block-kind labels")
     try:
-        spec = AlgebraSpec(tuple(parse_kind(lbl) for lbl in doc["algebra"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        spec = AlgebraSpec(tuple(parse_kind(lbl) for lbl in labels))
+    except ValueError as exc:
         raise DocumentError(f"algebra: {exc}") from None
 
     dim = doc.get("hilbert_dim")
@@ -165,8 +172,8 @@ def parse_document(doc: dict) -> ParsedDocument:
     if not isinstance(rep_spec, dict):
         raise DocumentError("representation must be an object")
     if "plan" in rep_spec:
-        rep = Representation.from_plan(spec, dim, _parse_plan(rep_spec["plan"], "representation.plan"),
-                                       exact)
+        plan = _parse_plan(rep_spec["plan"], dim, "representation.plan")
+        rep = Representation.from_plan(spec, dim, plan, exact)
     elif "matrices" in rep_spec:
         mats = [
             _parse_matrix(m, mode, f"representation.matrices[{k}]")

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 
 from . import scalars
-from .algebra import AlgebraElement, AlgebraSpec, BlockKind, Placement, Representation
+from .algebra import AlgebraSpec, BlockKind, Placement, Representation
 from .algebra import basis_elements
 from .matrices import Antilinear, Matrix
 from .scalars import QI, rational
@@ -195,11 +195,3 @@ def generate_case(rng: random.Random, ko: int | None = None, exact: bool = True)
 def generate_cases(seed: int, count: int, ko: int | None = None, exact: bool = True):
     rng = random.Random(seed)
     return [generate_case(rng, ko, exact) for _ in range(count)]
-
-
-def random_algebra_element(rng: random.Random, spec: AlgebraSpec, exact: bool = True) -> AlgebraElement:
-    coords = tuple(
-        rational(rng.randint(-3, 3), rng.randint(1, 3)) if exact else rng.uniform(-3, 3)
-        for _ in range(spec.real_dimension)
-    )
-    return AlgebraElement(spec, coords)

@@ -236,10 +236,6 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a
 
 
-def anticommutator(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b + b @ a
-
-
 def support_union(mats) -> list:
     """Sorted list of positions where any of the matrices is nonzero."""
     positions = set()
@@ -300,16 +296,6 @@ class Antilinear:
         if (j2 - ident).is_zero():
             return 1
         if (j2 + ident).is_zero():
-            return -1
-        return None
-
-    def commutation_sign(self, a: Matrix) -> int | None:
-        """Sign s with J a = s (a J), i.e. U conj(a) = s a U, if one holds."""
-        left = self.U @ a.conj()
-        right = a @ self.U
-        if (left - right).is_zero():
-            return 1
-        if (left + right).is_zero():
             return -1
         return None
 

@@ -13,6 +13,7 @@ and print the same "p/q" strings, so documents are portable.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 try:
@@ -47,8 +48,8 @@ _tolerance = 1e-10
 
 def set_tolerance(tau: float) -> None:
     global _tolerance
-    if tau <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     _tolerance = float(tau)
 
 

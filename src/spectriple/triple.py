@@ -77,9 +77,6 @@ class FiniteRealTriple:
     def dim(self) -> int:
         return self.rep.dim
 
-    def basis_images(self) -> list[Matrix]:
-        return list(self.rep.basis_matrices)
-
 
 def _sign_of(left: Matrix, right: Matrix):
     """Sign s with left = s * right, if one of +-1 works; else (None, residual)."""

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from spectriple.algebra import (AlgebraElement, AlgebraSpec, BlockKind, Placement,
-                                Representation, RepresentationError, basis_element,
-                                basis_elements, center_basis, identity_element, parse_kind,
-                                random_element, zero_element)
+                                Representation, RepresentationError, _block_basis_products,
+                                _mat_mul, basis_element, basis_elements, center_basis,
+                                identity_element, parse_kind, random_element, zero_element)
 from spectriple.matrices import Matrix
-from spectriple.scalars import QI
+from spectriple.scalars import QI, RATIONAL_ZERO
 
 from conftest import qi
 
@@ -163,3 +163,64 @@ def test_float_mode_elements():
     a = AlgebraElement(spec, (0.5, 0.25))
     b = AlgebraElement(spec, (2.0, 0.0))
     assert (a * b).coords == (1.0, 0.5)
+
+
+# -- summand-local products ---------------------------------------------------
+
+BLOCK_KINDS = (BlockKind("R"), BlockKind("C"), BlockKind("H"), BlockKind("C", 2), BlockKind("C", 3))
+
+
+def _dense_product(a, b):
+    """Reference product: multiply every block densely, zero blocks included."""
+    return AlgebraElement.from_blocks(a.spec, [_mat_mul(x, y) for x, y in zip(a.blocks(), b.blocks())])
+
+
+def _with_zero_summands(elem, rng, exact):
+    coords = list(elem.coords)
+    zero = RATIONAL_ZERO if exact else 0.0
+    for kind, off in zip(elem.spec.summands, elem.spec.offsets()):
+        if rng.random() < 0.4:
+            coords[off: off + kind.real_dim] = [zero] * kind.real_dim
+    return AlgebraElement(elem.spec, coords)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_element_product_matches_dense_blockwise_reference(exact):
+    rng = random.Random(11)
+    for _ in range(60):
+        spec = AlgebraSpec(tuple(rng.choice(BLOCK_KINDS) for _ in range(rng.randint(1, 4))))
+        a = _with_zero_summands(random_element(spec, rng, exact), rng, exact)
+        b = _with_zero_summands(random_element(spec, rng, exact), rng, exact)
+        got, want = a * b, _dense_product(a, b)
+        assert got.coords == want.coords
+        assert [type(c) for c in got.coords] == [type(c) for c in want.coords]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_block_basis_products_equal_dense_products(exact):
+    for kind in BLOCK_KINDS + (BlockKind("R", 2), BlockKind("H", 2)):
+        spec = AlgebraSpec((kind,))
+        basis = basis_elements(spec, exact)
+        table = _block_basis_products(kind, exact)
+        assert table == tuple(tuple(_dense_product(a, b).coords for b in basis) for a in basis)
+
+
+def test_two_summands_on_one_slot_fail_on_the_first_cross_pair():
+    spec = AlgebraSpec((BlockKind("C"), BlockKind("C")))
+    plan = [Placement(0, (0,), (0,)), Placement(1, (0,), (0,))]
+    with pytest.raises(RepresentationError, match=r"multiplicativity fails on basis pair \(0, 2\)$"):
+        Representation.from_plan(spec, 1, plan)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_same_summand_violations_are_rejected(exact):
+    # H with j and k swapped: star-compatible, but i j = k maps to -j
+    spec = AlgebraSpec((BlockKind("H"),))
+    mats = Representation.from_plan(spec, 2, [Placement(0, (0, 1), (0, 1))], exact).basis_matrices
+    with pytest.raises(RepresentationError, match=r"basis pair \(1, 2\)$"):
+        Representation(spec, 2, [mats[0], mats[1], mats[3], mats[2]])
+    # M2(C) acting by transposition is an anti-homomorphism: E00 E01 = E01 maps to E10
+    spec = AlgebraSpec((BlockKind("C", 2),))
+    mats = Representation.from_plan(spec, 2, [Placement(0, (0, 1), (0, 1))], exact).basis_matrices
+    with pytest.raises(RepresentationError, match=r"basis pair \(0, 2\)$"):
+        Representation(spec, 2, [m.transpose() for m in mats])

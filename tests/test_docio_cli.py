@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+import spectriple
+from spectriple import cli, scalars
 from spectriple.cli import main
 from spectriple.docio import (DocumentError, emit_document, load_document, parse_document,
                               save_document)
@@ -189,3 +191,63 @@ def test_cli_entrypoint_subprocess():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "result: OK" in proc.stdout
+
+
+def run_subprocess(*args):
+    """`spectriple <args>` in a fresh interpreter: exit code and stderr."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spectriple.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "spectriple.cli", *args],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_invalid_tolerance_is_malformed_input(tol):
+    code, err = run_subprocess("validate", KO6, f"--tol={tol}")
+    assert code == 2
+    assert err.startswith("error: --tol") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_tolerance_holds_for_one_call_only(monkeypatch, capsys):
+    before = scalars.get_tolerance()
+    seen = []
+
+    def fake_validate(args):
+        seen.append(scalars.get_tolerance())
+        if len(seen) == 2:
+            raise DocumentError("boom")
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_validate", fake_validate)
+    assert run_cli("validate", KO6, "--tol", "1e-3") == 0
+    assert scalars.get_tolerance() == before
+    assert run_cli("validate", KO6, "--tol", "1e-4") == 2
+    assert scalars.get_tolerance() == before
+    assert run_cli("validate", KO6, "--tol", "0") == 2
+    assert seen == [1e-3, 1e-4]
+    assert scalars.get_tolerance() == before
+
+
+def _mutated_ko6(tmp_path, mutate):
+    doc = load_document(KO6)
+    mutate(doc)
+    path = tmp_path / "mutated.json"
+    save_document(doc, str(path))
+    return str(path)
+
+
+def test_algebra_given_as_a_string_is_rejected(tmp_path):
+    path = _mutated_ko6(tmp_path, lambda doc: doc.update(algebra="C"))
+    code, err = run_subprocess("validate", path)
+    assert code == 2
+    assert "algebra must be a list" in err and "Traceback" not in err
+
+
+def test_plan_slot_out_of_range_names_the_placement(tmp_path):
+    def mutate(doc):
+        doc["representation"]["plan"][1]["rows"] = [99]
+
+    code, err = run_subprocess("validate", _mutated_ko6(tmp_path, mutate))
+    assert code == 2
+    assert "representation.plan[1]: slot 99 outside 0..1" in err and "Traceback" not in err
