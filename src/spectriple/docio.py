@@ -6,13 +6,15 @@ available, explicit basis matrices otherwise), the Dirac operator, optional
 grading, real structure, KO signs, twist and eigenspace identification.
 
 Complex entries are two-element arrays [re, im]; exact rationals are
-canonical "p/q" strings (plain integers allowed), floats are JSON numbers.
-Matrices are dense row-major.  parse and emit are mutually inverse on
-canonical documents, which the shipped fixtures are.
+canonical "p/q" strings (plain integers allowed), floats are finite JSON
+numbers.  Matrices are dense row-major; the twist unitary and the
+identification are hilbert_dim x hilbert_dim.  parse and emit are mutually
+inverse on canonical documents, which the shipped fixtures are.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,9 +48,12 @@ def _parse_scalar(pair, mode: str, where: str):
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"{where}: bad exact rational: {exc}") from None
     try:
-        return complex(float(re), float(im))
+        v = complex(float(re), float(im))
     except (TypeError, ValueError):
         raise DocumentError(f"{where}: bad float entry {pair!r}") from None
+    if not cmath.isfinite(v):
+        raise DocumentError(f"{where}: float entries must be finite, got {pair!r}")
+    return v
 
 
 def _emit_matrix(m: Matrix, mode: str) -> list:
@@ -62,10 +67,13 @@ def _emit_matrix(m: Matrix, mode: str) -> list:
     return out
 
 
-def _parse_matrix(rows, mode: str, where: str) -> Matrix:
+def _parse_matrix(rows, mode: str, where: str, dim: int | None = None) -> Matrix:
+    """A dense matrix; with dim given it must be dim x dim."""
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise DocumentError(f"{where}: a matrix is a non-empty list of rows")
     ncols = len(rows[0])
+    if dim is not None and (len(rows), ncols) != (dim, dim):
+        raise DocumentError(f"{where}: expected {dim}x{dim} (hilbert_dim), got {len(rows)}x{ncols}")
     entries = {}
     for i, row in enumerate(rows):
         if len(row) != ncols:
@@ -214,11 +222,11 @@ def parse_document(doc: dict) -> ParsedDocument:
             conjflags = tuple(bool(x) for x in tw.get("conj") or ())
         except (KeyError, TypeError, ValueError) as exc:
             raise DocumentError(f"twist: {exc}") from None
-        r = _parse_matrix(tw["r"], mode, "twist.r") if tw.get("r") is not None else None
+        r = _parse_matrix(tw["r"], mode, "twist.r", dim) if tw.get("r") is not None else None
         twist = TwistData(perm, conjflags, r)
 
     identification = (
-        _parse_matrix(doc["identification"], mode, "identification")
+        _parse_matrix(doc["identification"], mode, "identification", dim)
         if doc.get("identification") is not None
         else None
     )

@@ -227,13 +227,24 @@ def _stored_zero(v) -> bool:
     # kept so that tolerance decisions happen in one place (scalars.is_zero).
     if isinstance(v, QI):
         return not v
-    if isinstance(v, complex):
-        return v == 0
     return v == 0
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a
+
+
+def sign_relation(left: Matrix, right: Matrix):
+    """(s, 0.0) when left = s * right for s = +1 (tried first) or -1, else
+    (None, min(max|left - right|, max|left + right|)), the distance to the
+    nearer sign.  Both signs hold exactly when left is zero."""
+    diff = left - right
+    if diff.is_zero():
+        return 1, 0.0
+    total = left + right
+    if total.is_zero():
+        return -1, 0.0
+    return None, min(diff.max_abs(), total.max_abs())
 
 
 def support_union(mats) -> list:
@@ -290,14 +301,7 @@ class Antilinear:
 
     def square_sign(self) -> int | None:
         """+1 or -1 when J^2 = +-I, else None."""
-        n = self.dim
-        ident = Matrix.identity(n, self.U._exact())
-        j2 = self.squared()
-        if (j2 - ident).is_zero():
-            return 1
-        if (j2 + ident).is_zero():
-            return -1
-        return None
+        return sign_relation(self.squared(), Matrix.identity(self.dim, self.U._exact()))[0]
 
     def __eq__(self, other):
         if not isinstance(other, Antilinear):

@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 from . import oneforms, scalars
 from .algebra import AlgebraElement, basis_elements, identity_element
-from .matrices import real_vector, support_union
+from .matrices import commutator, real_vector, support_union
 from .reports import Report
 from .subspaces import RealSubspaceBasis, intersect_coefficients, real_nullspace, solve_real_linear
-from .triple import FiniteRealTriple, check_axioms, inferred_signs, ko_dimension
-from .twist import TwistData, TwistError, check_compatibility, twist_by_grading
+from .triple import (FiniteRealTriple, basis_pairs, check_axioms, first_order_sweep, inferred_signs,
+                     ko_dimension)
+from .twist import TwistData, TwistError, check_compatibility, identity_twist, opposite_pair, twist_by_grading
 
 FLAG_NAMES = ("is_subalgebra", "is_commutative", "is_central", "is_star_closed", "is_rho_stable")
 
@@ -67,10 +68,13 @@ def real_part(t: FiniteRealTriple, rho: TwistData | None = None) -> RealPartResu
 
     When a twist is supplied it must be inner and compatible with the real
     structure; stability of A_J under the twist is then part of the result.
+    With no twist (the identity twist) A_J is trivially stable.
     """
     if t.real_structure is None:
         raise ValueError("real structure required")
-    if rho is not None and rho.R is not None:
+    if rho is None:
+        rho = identity_twist(t.spec)
+    if rho.R is not None:
         compat = check_compatibility(t.real_structure, rho, t.rep)
         if not compat.ok:
             raise TwistError("twist is not compatible with the real structure")
@@ -93,7 +97,7 @@ def _cast_basis(basis: RealSubspaceBasis, exact: bool) -> RealSubspaceBasis:
                              tuple(tuple(float(x) for x in v) for v in basis.vectors))
 
 
-def _real_part_flags(t: FiniteRealTriple, basis: RealSubspaceBasis, rho: TwistData | None) -> dict:
+def _real_part_flags(t: FiniteRealTriple, basis: RealSubspaceBasis, rho: TwistData) -> dict:
     span = basis.echelon()
     elements = [AlgebraElement(t.spec, v) for v in basis.vectors]
     algebra_basis = basis_elements(t.spec, t.rep._exact())
@@ -102,10 +106,7 @@ def _real_part_flags(t: FiniteRealTriple, basis: RealSubspaceBasis, rho: TwistDa
     is_commutative = all((u * v - v * u).is_zero() for u in elements for v in elements)
     is_central = all((u * e - e * u).is_zero() for u in elements for e in algebra_basis)
     is_star_closed = all(span.contains(u.star().coords) for u in elements)
-    if rho is None:
-        is_rho_stable = True
-    else:
-        is_rho_stable = all(span.contains(rho.apply(u).coords) for u in elements)
+    is_rho_stable = all(span.contains(rho.apply(u).coords) for u in elements)
     return {
         "is_subalgebra": is_subalgebra,
         "is_commutative": is_commutative,
@@ -176,6 +177,10 @@ def verify_real_part(t: FiniteRealTriple, rho: TwistData | None = None) -> Repor
     every element of A_J twist-commutes with all generated one-forms.
     """
     report = Report("real part verification")
+    if rho is None:
+        rho, variant = identity_twist(t.spec), "untwisted variant"
+    else:
+        variant = "twisted variant"
     rp = real_part(t, rho)
     report.data["real_dimension"] = rp.real_dimension
     report.data["structure"] = structure_label(t, rp.basis)
@@ -193,36 +198,15 @@ def verify_real_part(t: FiniteRealTriple, rho: TwistData | None = None) -> Repor
     defining = all((m @ j.U - j.U @ m.conj()).is_zero() for m in images)
     report.add("subtriple_commutes_with_j", defining)
 
-    star_rule = all(
-        (j.conjugate_operator(t.rep.apply(u.star())) - t.rep.apply(u.star())).is_zero()
-        for u in elements
-    )
+    # the pairs (pi(a*), pi((rho^{-1} a)*)) serve all three conditions below
+    pairs = [opposite_pair(t.rep, rho, u) for u in elements]
+    opposites = [j.conjugate_operator(star) for star, _ in pairs]
+    star_rule = all((o - star).is_zero() for o, (star, _) in zip(opposites, pairs))
     report.add("subtriple_opposite_equals_star", star_rule, detail="a° = pi(a*) on the real part")
 
-    opposites = [j.conjugate_operator(t.rep.apply(u.star())) for u in elements]
-    ok, worst = True, 0.0
-    for m in images:
-        for o in opposites:
-            c = m @ o - o @ m
-            if not c.is_zero():
-                ok = False
-                worst = max(worst, c.max_abs())
-    report.add("subtriple_order_zero", ok, worst)
-
-    d = t.dirac
-    ok, worst = True, 0.0
-    for u, m in zip(elements, images):
-        m_rho = t.rep.apply(rho.apply(u)) if rho is not None else m
-        tw = d @ m - m_rho @ d
-        for v in elements:
-            o = t.rep.apply(v.star())
-            o_rho = t.rep.apply(rho.apply_inverse(v).star()) if rho is not None else o
-            c = tw @ o - o_rho @ tw
-            if not c.is_zero():
-                ok = False
-                worst = max(worst, c.max_abs())
-    report.add("subtriple_first_order", ok, worst,
-               "twisted variant" if rho is not None else "untwisted variant")
+    report.sweep("subtriple_order_zero", basis_pairs(images, opposites, commutator, "real-part basis pair"))
+    first_order_sweep(report, "subtriple_first_order", t, rho, elements, images, pairs,
+                      "real-part basis pair", variant)
 
     report.extend(oneforms.check_twist_commutation(t, rho, elements), prefix="one_forms_")
     return report

@@ -2,8 +2,9 @@
 
 Reports carry one line per verified condition plus a free-form data dict for
 computed quantities (inferred signs, dimensions, branch taken).  Residuals
-are included even in exact mode, where they are always 0.0, so both scalar
-backends share one schema.
+are included even in exact mode, where a passing check's is always 0.0, so
+both scalar backends share one schema.  Report.sweep is the one way a check
+over many residual matrices (basis elements, basis pairs) is reported.
 """
 
 from __future__ import annotations
@@ -29,6 +30,20 @@ class Report:
         check = Check(name, bool(passed), float(residual), detail)
         self.checks.append(check)
         return check
+
+    def sweep(self, name: str, residuals, detail: str = "") -> Check:
+        """Check that every matrix in lazily consumed (label, residual) pairs is zero.
+
+        On failure: the largest entry of the worst residual, labelled by the
+        last among equals.  On success: residual 0.0 and the given detail."""
+        ok, worst, offender = True, 0.0, ""
+        for label, residual in residuals:
+            if not residual.is_zero():
+                ok = False
+                size = residual.max_abs()
+                if size >= worst:
+                    worst, offender = size, label
+        return self.add(name, ok, worst, detail if ok else offender)
 
     def extend(self, other: "Report", prefix: str = "") -> None:
         for c in other.checks:

@@ -6,7 +6,10 @@ optional real structure.  Compact resolvent and boundedness requirements are
 automatic in finite dimension and are therefore documented, not checked.
 
 Axiom failures are report entries, never exceptions: the checkers exist
-precisely to describe invalid inputs.
+precisely to describe invalid inputs.  Sign relations go through
+matrices.sign_relation and sweeps through Report.sweep.  The untwisted
+first-order condition is the twisted one with the identity twist: both
+checks report one sweep, and neither calls the other.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, AlgebraSpec, Representation, basis_elements
-from .matrices import Antilinear, Matrix, commutator
+from .matrices import Antilinear, Matrix, commutator, sign_relation
 from .reports import Report
+from .twist import TwistData, identity_twist, opposite_pair, twisted_bracket, twisted_image
 
 # Even KO-dimension sign table, fixed as a convention:
 #   dim 0: (+1, +1, +1)   dim 2: (-1, +1, -1)
@@ -78,16 +82,6 @@ class FiniteRealTriple:
         return self.rep.dim
 
 
-def _sign_of(left: Matrix, right: Matrix):
-    """Sign s with left = s * right, if one of +-1 works; else (None, residual)."""
-    plus = (left - right).max_abs()
-    if (left - right).is_zero():
-        return 1, 0.0
-    if (left + right).is_zero():
-        return -1, 0.0
-    return None, min(plus, (left + right).max_abs())
-
-
 def check_axioms(t: FiniteRealTriple) -> Report:
     """Verify selfadjointness, grading and real-structure relations.
 
@@ -100,43 +94,28 @@ def check_axioms(t: FiniteRealTriple) -> Report:
 
     if t.grading is not None:
         g = t.grading
-        ident = Matrix.identity(t.dim, t.rep._exact())
         report.add("grading_selfadjoint", g.is_hermitian(), (g - g.adjoint()).max_abs())
-        report.add("grading_squares_to_identity", (g @ g - ident).is_zero(), (g @ g - ident).max_abs())
+        square = g @ g - Matrix.identity(t.dim, t.rep._exact())
+        report.add("grading_squares_to_identity", square.is_zero(), square.max_abs())
         anti = g @ d + d @ g
         report.add("grading_anticommutes_dirac", anti.is_zero(), anti.max_abs())
-        worst, offender = 0.0, ""
-        ok = True
-        for k, m in enumerate(t.rep.basis_matrices):
-            c = commutator(g, m)
-            if not c.is_zero():
-                ok = False
-                if c.max_abs() > worst:
-                    worst, offender = c.max_abs(), f"basis element {k}"
-        report.add("grading_commutes_algebra", ok, worst, offender)
+        report.sweep("grading_commutes_algebra",
+                     ((f"basis element {k}", commutator(g, m)) for k, m in enumerate(t.rep.basis_matrices)))
 
     inferred = None
     if t.real_structure is not None:
         j = t.real_structure
-        report.add("real_structure_unitary", j.U.is_unitary(),
-                   (j.U @ j.U.adjoint() - Matrix.identity(t.dim, t.rep._exact())).max_abs())
+        ident = Matrix.identity(t.dim, t.rep._exact())
+        report.add("real_structure_unitary", j.U.is_unitary(), (j.U @ j.U.adjoint() - ident).max_abs())
 
-        eps = j.square_sign()
-        report.add("j_squared_plus_minus_identity", eps is not None,
-                   0.0 if eps is not None else j.squared().max_abs(),
+        eps, res_j = sign_relation(j.squared(), ident)
+        report.add("j_squared_plus_minus_identity", eps is not None, res_j,
                    f"J^2 = {eps:+d} I" if eps is not None else "J^2 is not +-I")
-
-        eps_prime, res_p = _sign_of(j.U @ d.conj(), d @ j.U)
-        ambiguous_p = eps_prime == 1 and (j.U @ d.conj() + d @ j.U).is_zero()
-        report.add("j_dirac_sign", eps_prime is not None, res_p,
-                   _sign_detail("JD", "DJ", eps_prime, ambiguous_p))
-
-        eps_dprime, res_g = (None, 0.0)
+        eps_prime = _sign_check(report, "j_dirac_sign", "JD", "DJ", j.U @ d.conj(), d @ j.U)
+        eps_dprime = None
         if t.grading is not None:
-            eps_dprime, res_g = _sign_of(j.U @ t.grading.conj(), t.grading @ j.U)
-            ambiguous_g = eps_dprime == 1 and (j.U @ t.grading.conj() + t.grading @ j.U).is_zero()
-            report.add("j_grading_sign", eps_dprime is not None, res_g,
-                       _sign_detail("JG", "GJ", eps_dprime, ambiguous_g))
+            eps_dprime = _sign_check(report, "j_grading_sign", "JG", "GJ",
+                                     j.U @ t.grading.conj(), t.grading @ j.U)
 
         if eps is not None and eps_prime is not None and (t.grading is None or eps_dprime is not None):
             inferred = KOSigns(eps, eps_prime, eps_dprime)
@@ -153,11 +132,17 @@ def check_axioms(t: FiniteRealTriple) -> Report:
     return report
 
 
-def _sign_detail(lhs: str, rhs: str, sign, ambiguous: bool) -> str:
+def _sign_check(report: Report, name: str, lhs: str, rhs: str, left: Matrix, right: Matrix):
+    """Report whether left = +-right; returns the sign, or None."""
+    sign, residual = sign_relation(left, right)
     if sign is None:
-        return f"{lhs} = +-{rhs} fails for both signs"
-    note = " (ambiguous: operator is zero)" if ambiguous else ""
-    return f"{lhs} = {sign:+d} {rhs}{note}"
+        detail = f"{lhs} = +-{rhs} fails for both signs"
+    else:
+        # both signs hold exactly when the operator is zero
+        note = " (ambiguous: operator is zero)" if left.is_zero() else ""
+        detail = f"{lhs} = {sign:+d} {rhs}{note}"
+    report.add(name, sign is not None, residual, detail)
+    return sign
 
 
 def inferred_signs(t: FiniteRealTriple) -> KOSigns:
@@ -180,20 +165,14 @@ def opposite_action(t: FiniteRealTriple, a: AlgebraElement) -> Matrix:
 
 def opposite_images(t: FiniteRealTriple) -> list[Matrix]:
     """a° for every coordinate basis element (real-linear in the element)."""
-    j = t.real_structure
-    return [j.conjugate_operator(t.rep.apply(e.star())) for e in basis_elements(t.spec, t.rep._exact())]
+    return [opposite_action(t, e) for e in basis_elements(t.spec, t.rep._exact())]
 
 
-def _pair_sweep(report: Report, name: str, lefts, rights, combine) -> None:
-    worst, offender, ok = 0.0, "", True
+def basis_pairs(lefts, rights, combine, what: str = "basis pair"):
+    """Lazy (label, combine(a, b)) over lefts x the sequence rights, labelled "<what> (k, l)"."""
     for k, a in enumerate(lefts):
         for l, b in enumerate(rights):
-            c = combine(a, b)
-            if not c.is_zero():
-                ok = False
-                if c.max_abs() >= worst:
-                    worst, offender = c.max_abs(), f"basis pair ({k}, {l})"
-    report.add(name, ok, worst, offender)
+            yield f"{what} ({k}, {l})", combine(a, b)
 
 
 def check_order_zero(t: FiniteRealTriple) -> Report:
@@ -201,56 +180,42 @@ def check_order_zero(t: FiniteRealTriple) -> Report:
     if t.real_structure is None:
         raise ValueError("order-zero condition needs a real structure")
     report = Report("order-zero condition")
-    _pair_sweep(report, "order_zero", t.rep.basis_matrices, opposite_images(t), commutator)
+    report.sweep("order_zero", basis_pairs(t.rep.basis_matrices, opposite_images(t), commutator))
     return report
+
+
+def first_order_sweep(report: Report, name: str, t: FiniteRealTriple, rho: TwistData, elements,
+                      images, opposites, what: str = "basis pair", detail: str = "") -> list:
+    """Sweep [[D, a]_rho, b°]_rho° = 0 over elements a (with images pi(a))
+    and opposite pairs (b°, rho°(b°)); returns the pairs (pi(a), pi(rho(a)))."""
+    moved = [(m, twisted_image(rho, m, lambda move: t.rep.apply(move(x))))
+             for x, m in zip(elements, images)]
+    brackets = [twisted_bracket(t.dirac, m, m_rho) for m, m_rho in moved]
+    report.sweep(name, basis_pairs(brackets, opposites, lambda tk, pair: twisted_bracket(tk, *pair), what),
+                 detail)
+    return moved
+
+
+def _first_order(t: FiniteRealTriple, rho: TwistData, title: str, name: str):
+    """The basis sweep behind both first-order checks, with
+    rho°(b°) = (rho^{-1}(b))° = J pi((rho^{-1} b)*) J^{-1}."""
+    if t.real_structure is None:
+        raise ValueError(f"{title} needs a real structure")
+    report = Report(title)
+    basis = basis_elements(t.spec, t.rep._exact())
+    opposites = [opposite_pair(t.rep, rho, e, t.real_structure) for e in basis]
+    return report, first_order_sweep(report, name, t, rho, basis, t.rep.basis_matrices, opposites)
 
 
 def check_first_order(t: FiniteRealTriple) -> Report:
     """[[D, pi(a)], b°] = 0 on all basis pairs."""
-    if t.real_structure is None:
-        raise ValueError("first-order condition needs a real structure")
-    report = Report("first-order condition")
-    d = t.dirac
-    brackets = [commutator(d, m) for m in t.rep.basis_matrices]
-    _pair_sweep(report, "first_order", brackets, opposite_images(t), commutator)
-    return report
+    return _first_order(t, identity_twist(t.spec), "first-order condition", "first_order")[0]
 
 
-def check_twisted_first_order(t: FiniteRealTriple, rho) -> Report:
-    """[[D, a]_rho, b°]_rho° = 0 on all basis pairs.
-
-    The opposite twist acts by rho°(b°) = (rho^{-1}(b))°; with b° realized
-    through J this is J pi((rho^{-1} b)*) J^{-1}.
-    """
-    if t.real_structure is None:
-        raise ValueError("twisted first-order condition needs a real structure")
-    report = Report("twisted first-order condition")
-    d = t.dirac
-    exact = t.rep._exact()
-    basis = basis_elements(t.spec, exact)
-    j = t.real_structure
-
-    twisted = []
-    displacement = 0.0
-    for e, m in zip(basis, t.rep.basis_matrices):
-        m_rho = t.rep.apply(rho.apply(e))
-        twisted.append(d @ m - m_rho @ d)
-        displacement = max(displacement, (m - m_rho).max_abs())
-    opposites = []
-    for e in basis:
-        b_op = j.conjugate_operator(t.rep.apply(e.star()))
-        b_op_rho = j.conjugate_operator(t.rep.apply(rho.apply_inverse(e).star()))
-        opposites.append((b_op, b_op_rho))
-
-    worst, offender, ok = 0.0, "", True
-    for k, tk in enumerate(twisted):
-        for l, (b_op, b_op_rho) in enumerate(opposites):
-            c = tk @ b_op - b_op_rho @ tk
-            if not c.is_zero():
-                ok = False
-                if c.max_abs() >= worst:
-                    worst, offender = c.max_abs(), f"basis pair ({k}, {l})"
-    report.add("twisted_first_order", ok, worst, offender)
+def check_twisted_first_order(t: FiniteRealTriple, rho: TwistData) -> Report:
+    """[[D, a]_rho, b°]_rho° = 0 on all basis pairs, and how far rho moves pi(A)."""
+    report, images = _first_order(t, rho, "twisted first-order condition", "twisted_first_order")
+    displacement = max(((m - m_rho).max_abs() for m, m_rho in images), default=0.0)
     # boundedness of [D, a]_rho is automatic here; the interesting size is
     # how far the twist moves the algebra
     report.add("twist_displacement", True, displacement, "max |pi(a) - pi(rho(a))| over basis")

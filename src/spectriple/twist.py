@@ -6,6 +6,11 @@ on operators, rho(O) = R O R*.  Twists are validated against a concrete
 representation: the regularity rule rho(a*) = (rho^{-1}(a))* must hold, and
 R, when present, must actually implement the permutation.
 
+The untwisted case is the identity twist: rho=None means identity_twist(spec).
+twisted_image is the one place a twist moves pi(x), and returns pi(x) itself
+under the identity; twisted_bracket and opposite_pair build x m - rho(m) x
+and (b°, rho°(b°)) for every checker.
+
 The twist by grading doubles the algebra, lets the two copies act on the
 +1 / -1 eigenspaces of the grading, and twists by the flip of the copies.
 The flip is inner: R exchanges the eigenspaces through an explicit unitary
@@ -15,14 +20,17 @@ basis slots of a diagonal grading in index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from . import scalars
-from .algebra import AlgebraElement, AlgebraSpec, Representation
+from .algebra import AlgebraElement, AlgebraSpec, Placement, Representation
 from .algebra import basis_elements
-from .matrices import Antilinear, Matrix, commutator
+from .matrices import Antilinear, Matrix, sign_relation
 from .reports import Report
-from .triple import FiniteRealTriple
+
+if TYPE_CHECKING:
+    from .triple import FiniteRealTriple
 
 
 class TwistError(ValueError):
@@ -67,25 +75,21 @@ class TwistData:
                 raise TwistError(f"twist maps unlike summands {p} -> {i}")
 
     def apply(self, elem: AlgebraElement) -> AlgebraElement:
-        self._check_spec(elem.spec)
-        blocks = elem.blocks()
-        out = []
-        for i, p in enumerate(self.perm):
-            b = blocks[p]
-            if self.conj[i]:
-                b = [[scalars.conj(v) for v in row] for row in b]
-            out.append(b)
-        return AlgebraElement.from_blocks(elem.spec, out)
+        return self._move(elem, inverse=False)
 
     def apply_inverse(self, elem: AlgebraElement) -> AlgebraElement:
+        return self._move(elem, inverse=True)
+
+    def _move(self, elem: AlgebraElement, inverse: bool) -> AlgebraElement:
         self._check_spec(elem.spec)
         blocks = elem.blocks()
         out = [None] * len(self.perm)
         for i, p in enumerate(self.perm):
-            b = blocks[i]
+            source, target = (i, p) if inverse else (p, i)
+            b = blocks[source]
             if self.conj[i]:
                 b = [[scalars.conj(v) for v in row] for row in b]
-            out[p] = b
+            out[target] = b
         return AlgebraElement.from_blocks(elem.spec, out)
 
     def validate(self, spec: AlgebraSpec, rep: Representation) -> Report:
@@ -98,14 +102,11 @@ class TwistData:
         report.add("regularity", regular, detail="rho(a*) = (rho^-1(a))* on basis")
         if self.R is not None:
             report.add("inner_unitary", self.R.is_unitary())
-            worst, ok = 0.0, True
             radj = self.R.adjoint()
-            for e, m in zip(basis, rep.basis_matrices):
-                diff = rep.apply(self.apply(e)) - self.R @ m @ radj
-                if not diff.is_zero():
-                    ok = False
-                    worst = max(worst, diff.max_abs())
-            report.add("inner_implements_twist", ok, worst, "pi(rho(a)) = R pi(a) R* on basis")
+            report.sweep("inner_implements_twist",
+                         ((f"basis element {k}", rep.apply(self.apply(e)) - self.R @ m @ radj)
+                          for k, (e, m) in enumerate(zip(basis, rep.basis_matrices))),
+                         "pi(rho(a)) = R pi(a) R* on basis")
         return report
 
 
@@ -113,59 +114,95 @@ def identity_twist(spec: AlgebraSpec) -> TwistData:
     return TwistData(tuple(range(len(spec.summands))))
 
 
+def twisted_image(rho: TwistData, m: Matrix, image, inverse: bool = False) -> Matrix:
+    """pi(rho(x)) from m = pi(x) (pi(rho^{-1}(x)) if inverse), as image(move).
+
+    The identity twist returns m itself without calling image: the one
+    identity shortcut, so untwisted checks cost no more than before."""
+    if rho.is_identity():
+        return m
+    return image(rho.apply_inverse if inverse else rho.apply)
+
+
+def twisted_bracket(x: Matrix, m: Matrix, m_rho: Matrix) -> Matrix:
+    """[x, m]_rho = x m - m_rho x, given m_rho = rho(m) (or rho°(m) for m = b°)."""
+    return x @ m - m_rho @ x
+
+
+def opposite_pair(rep: Representation, rho: TwistData, x: AlgebraElement,
+                  j: Antilinear | None = None) -> tuple[Matrix, Matrix]:
+    """(x°, rho°(x°)) with x° = J pi(x*) J^{-1} and rho°(x°) = (rho^{-1}(x))°.
+
+    Without J, x° is pi(x*), its form on elements commuting with J.
+    """
+    def opposite(y: AlgebraElement) -> Matrix:
+        m = rep.apply(y.star())
+        return m if j is None else j.conjugate_operator(m)
+
+    o = opposite(x)
+    return o, twisted_image(rho, o, lambda move: opposite(move(x)), inverse=True)
+
+
 def twisted_commutator(d: Matrix, a_matrix: Matrix, rho: TwistData | None = None,
                        rep: Representation | None = None) -> Matrix:
     """[D, a]_rho = D a - rho(a) D.
 
-    With no twist (or the identity twist) this is the ordinary commutator.
+    With no twist (the identity twist) this is the ordinary commutator.
     rho acts on the operator through R when present; otherwise the matrix
     must be recognized as pi(x) so the permutation can act on coordinates.
     """
     if d.nrows != d.ncols or a_matrix.nrows != a_matrix.ncols or d.nrows != a_matrix.nrows:
         raise ValueError("twisted commutator needs square operators of equal size")
-    if rho is None or rho.is_identity():
-        return commutator(d, a_matrix)
-    if rho.R is not None:
-        return d @ a_matrix - rho.R @ a_matrix @ rho.R.adjoint() @ d
-    if rep is None:
-        raise TwistError("a permutation-only twist needs the representation to act on operators")
-    x = rep.pullback(a_matrix)
-    if x is None:
-        raise TwistError("operator is not in the image of the representation")
-    return d @ a_matrix - rep.apply(rho.apply(x)) @ d
+    if rho is None:
+        rho = identity_twist(rep.spec if rep is not None else AlgebraSpec(()))
 
+    def move_operator(move):
+        if rho.R is not None:
+            return rho.R @ a_matrix @ rho.R.adjoint()
+        if rep is None:
+            raise TwistError("a permutation-only twist needs the representation to act on operators")
+        x = rep.pullback(a_matrix)
+        if x is None:
+            raise TwistError("operator is not in the image of the representation")
+        return rep.apply(move(x))
 
-def _half(exact: bool):
-    return scalars.QI(scalars.rational(1, 2)) if exact else 0.5
+    return twisted_bracket(d, a_matrix, twisted_image(rho, a_matrix, move_operator))
 
 
 def eigenprojections(grading: Matrix, exact: bool) -> tuple[Matrix, Matrix]:
     ident = Matrix.identity(grading.nrows, exact)
-    half = _half(exact)
+    half = scalars.QI(scalars.rational(1, 2)) if exact else 0.5
     return (ident + grading).scale(half), (ident - grading).scale(half)
+
+
+def _grading_signs(grading: Matrix, exact: bool) -> list[int] | None:
+    """Diagonal of a diagonal grading as +-1 (0 where zero); None if not of that form."""
+    one = scalars.as_scalar(1, exact)
+    signs = [0] * grading.nrows
+    for (i, j), v in grading.entries():
+        if i != j:
+            return None
+        if scalars.is_zero(v - one):
+            signs[i] = 1
+        elif scalars.is_zero(v + one):
+            signs[i] = -1
+        else:
+            return None
+    return signs
 
 
 def default_identification(grading: Matrix, exact: bool) -> Matrix:
     """Pair the +1 and -1 slots of a diagonal grading in index order."""
-    n = grading.nrows
-    for (i, j), _ in grading.entries():
-        if i != j:
-            raise TwistError("default identification needs a diagonal +-1 grading; "
-                             "supply one explicitly")
-    one = scalars.as_scalar(1, exact)
-    plus, minus = [], []
-    for i in range(n):
-        v = grading.get(i, i)
-        if scalars.is_zero(v - one):
-            plus.append(i)
-        elif scalars.is_zero(v + one):
-            minus.append(i)
-        else:
-            raise TwistError("default identification needs a diagonal +-1 grading; "
-                             "supply one explicitly")
+    signs = _grading_signs(grading, exact)
+    if signs is None or 0 in signs:
+        raise TwistError("default identification needs a diagonal +-1 grading; "
+                         "supply one explicitly")
+    plus = [i for i, s in enumerate(signs) if s == 1]
+    minus = [i for i, s in enumerate(signs) if s == -1]
     if len(plus) != len(minus):
         raise TwistError("grading eigenspaces have unequal dimensions")
-    return Matrix(n, n, {(p, m): one for p, m in zip(plus, minus)})
+    one = scalars.as_scalar(1, exact)
+    return Matrix(grading.nrows, grading.ncols, {(p, m): one for p, m in zip(plus, minus)})
 
 
 def twist_by_grading(t: FiniteRealTriple, identification: Matrix | None = None
@@ -213,8 +250,7 @@ def twist_by_grading(t: FiniteRealTriple, identification: Matrix | None = None
             + "; ".join(c.name for c in validation.failures())
         )
 
-    doubled = FiniteRealTriple(doubled_spec, rep2, t.dirac, t.grading, t.real_structure, t.signs)
-    return doubled, rho
+    return replace(t, spec=doubled_spec, rep=rep2), rho
 
 
 def _split_plan(t: FiniteRealTriple, exact: bool):
@@ -226,25 +262,15 @@ def _split_plan(t: FiniteRealTriple, exact: bool):
     not diagonal, a placement straddles the eigenspaces, or the input
     representation carries no plan.
     """
-    from .algebra import Placement
-
     if t.rep.plan is None:
         return None
-    one = scalars.as_scalar(1, exact)
-    signs = {}
-    for (i, j), v in t.grading.entries():
-        if i != j:
-            return None
-        if scalars.is_zero(v - one):
-            signs[i] = 1
-        elif scalars.is_zero(v + one):
-            signs[i] = -1
-        else:
-            return None
+    signs = _grading_signs(t.grading, exact)
+    if signs is None:
+        return None
     ns = len(t.spec.summands)
     out = []
     for p in t.rep.plan:
-        row_signs = {signs.get(i, 0) for i in p.rows}
+        row_signs = {signs[i] for i in p.rows}
         if row_signs == {1}:
             out.append(p)
         elif row_signs == {-1}:
@@ -258,13 +284,7 @@ def compatibility_sign(j: Antilinear, rho: TwistData) -> int | None:
     """The sign s with J R = s R J, or None when neither sign works."""
     if rho.R is None:
         raise TwistError("compatibility needs an inner twist (R present)")
-    left = j.U @ rho.R.conj()
-    right = rho.R @ j.U
-    if (left - right).is_zero():
-        return 1
-    if (left + right).is_zero():
-        return -1
-    return None
+    return sign_relation(j.U @ rho.R.conj(), rho.R @ j.U)[0]
 
 
 def check_compatibility(j: Antilinear, rho: TwistData, rep: Representation) -> Report:
@@ -283,16 +303,15 @@ def check_compatibility(j: Antilinear, rho: TwistData, rep: Representation) -> R
         report.data["eps_triple"] = sign
 
     radj = rho.R.adjoint()
-    ok, worst = True, 0.0
-    for e in basis_elements(rep.spec, rep._exact()):
-        a_op = j.conjugate_operator(rep.apply(e.star()))
-        lhs = rho.R @ a_op @ radj
-        rhs = j.conjugate_operator(rep.apply(rho.apply(e).star()))
-        diff = lhs - rhs
-        if not diff.is_zero():
-            ok = False
-            worst = max(worst, diff.max_abs())
-    report.add("opposite_twist_exchange", ok, worst, "rho(a°) = (rho(a))° on basis")
-    report.add("formulations_agree", (sign is not None) == ok, 0.0,
+
+    def exchange(e: AlgebraElement) -> Matrix:
+        lhs = rho.R @ j.conjugate_operator(rep.apply(e.star())) @ radj
+        return lhs - j.conjugate_operator(rep.apply(rho.apply(e).star()))
+
+    exchange_ok = report.sweep(
+        "opposite_twist_exchange",
+        ((f"basis element {k}", exchange(e)) for k, e in enumerate(basis_elements(rep.spec, rep._exact()))),
+        "rho(a°) = (rho(a))° on basis").passed
+    report.add("formulations_agree", (sign is not None) == exchange_ok, 0.0,
                "sign relation holds iff the opposite-action exchange holds")
     return report

@@ -251,3 +251,30 @@ def test_plan_slot_out_of_range_names_the_placement(tmp_path):
     code, err = run_subprocess("validate", _mutated_ko6(tmp_path, mutate))
     assert code == 2
     assert "representation.plan[1]: slot 99 outside 0..1" in err and "Traceback" not in err
+
+
+
+EYE3 = [[["1" if i == j else "0", "0"] for j in range(3)] for i in range(3)]
+
+
+@pytest.mark.parametrize("field, mutate", [
+    ("twist.r", lambda doc: doc.update(twist={"perm": [0], "conj": [False], "r": EYE3})),
+    ("identification", lambda doc: doc.update(identification=EYE3)),
+])
+@pytest.mark.parametrize("command", ["validate", "real-part", "twist-by-grading"])
+def test_wrong_size_twist_or_identification_is_malformed(tmp_path, field, mutate, command):
+    args = [str(tmp_path / "out.json")] if command == "twist-by-grading" else []
+    code, err = run_subprocess(command, _mutated_ko6(tmp_path, mutate), *args)
+    assert code == 2
+    assert f"{field}: expected 2x2 (hilbert_dim), got 3x3" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", float("inf")])
+def test_non_finite_float_entry_is_malformed(tmp_path, value):
+    def mutate(doc):
+        doc["mode"] = "float"
+        doc["dirac"][0][1] = [value, 0]
+
+    code, err = run_subprocess("validate", _mutated_ko6(tmp_path, mutate))
+    assert code == 2
+    assert "dirac[0][1]: float entries must be finite" in err and "Traceback" not in err

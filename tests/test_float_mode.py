@@ -57,6 +57,18 @@ def test_float_perturbation_below_tolerance_still_passes():
     assert check_axioms(t2).ok
 
 
+def test_float_j_squared_residual_is_the_distance_to_plus_minus_identity():
+    # U = [[0, 1], [i, 0]] is unitary with J^2 = U conj(U) = diag(-i, i),
+    # at distance sqrt(2) from both I and -I, while max|J^2| is 1
+    t = float_ko6_toy()
+    u = Matrix.from_rows([[0.0, 1.0], [1j, 0.0]], exact=False)
+    t2 = FiniteRealTriple(t.spec, t.rep, t.dirac, t.grading, Antilinear(u))
+    check = next(c for c in check_axioms(t2).checks if c.name == "j_squared_plus_minus_identity")
+    assert not check.passed
+    assert abs(check.residual - 2 ** 0.5) < 1e-12
+    assert check.detail == "J^2 is not +-I"
+
+
 def test_float_violation_above_tolerance_fails():
     t = float_ko6_toy()
     broken = Matrix.from_rows([[1e-3, 1.0], [1.0, 0.0]], exact=False)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from spectriple.matrices import Antilinear, Matrix, commutator
+from spectriple.matrices import Antilinear, Matrix, commutator, sign_relation
 from spectriple.scalars import QI
 
 from conftest import SIGMA1, mat, qi
@@ -85,6 +85,19 @@ def test_square_sign():
     assert Antilinear(Matrix.identity(3)).square_sign() == 1
     e = mat([[0, -1], [1, 0]])
     assert Antilinear(e).square_sign() == -1
+    assert Antilinear(mat([[0, 1], [1j, 0]])).square_sign() is None
+
+
+def test_sign_relation():
+    a = mat([[1, 2], [0, -1]])
+    assert sign_relation(a, a) == (1, 0.0)
+    assert sign_relation(a, -a) == (-1, 0.0)
+    # both signs hold for zero operators; +1 is reported
+    assert sign_relation(Matrix.zeros(2), Matrix.zeros(2)) == (1, 0.0)
+    # otherwise the residual is the distance to the nearer sign
+    b = mat([[1, 2], [0, 1]])
+    assert sign_relation(a, b) == (None, 2.0)
+    assert sign_relation(a, -b) == (None, 2.0)
 
 
 def test_kron_and_trace():

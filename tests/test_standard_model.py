@@ -5,12 +5,11 @@ import pytest
 
 from spectriple.algebra import AlgebraElement, random_element
 from spectriple.matrices import Matrix, commutator
-from spectriple.oneforms import omega1_span
 from spectriple.realpart import real_part, verify_doubling_dichotomy, verify_real_part
 from spectriple.scalars import QI
 from spectriple.standard_model import (FIBER_DIM, INTERNAL_DIM, SM_SPEC, SMIndex, YukawaParams,
                                        build_fiber_triple, build_internal_triple,
-                                       build_twisted_sm, fiber_index, fiber_majorana,
+                                       build_twisted_sm, fiber_index,
                                        gamma_f_sign, internal_grading, internal_index,
                                        internal_majorana, sflip_identification,
                                        verify_sm_real_part)
@@ -186,23 +185,6 @@ def test_real_part_independent_of_yukawa_parameters():
         results.append(rp)
         assert rp.real_dimension == 1
     assert results[0].basis.equals(results[1].basis)
-
-
-def test_majorana_one_form_spans():
-    p = YukawaParams.exact()
-    fiber = build_fiber_triple(p)
-    doubled, rho = build_twisted_sm(p)
-    d_maj = fiber_majorana(p)
-    # untwisted: the Majorana block commutes with the algebra, so nothing
-    # is generated; the grading twist does not change that, because the
-    # twisted commutator collapses to graded ordinary commutators
-    assert omega1_span(fiber, dirac=d_maj).dimension == 0
-    assert omega1_span(doubled, rho=rho, dirac=d_maj).dimension == 0
-    # the full Dirac operator generates a nonzero span, doubled by the twist
-    full_untwisted = omega1_span(fiber).dimension
-    full_twisted = omega1_span(doubled, rho=rho).dimension
-    assert full_untwisted > 0
-    assert full_twisted == 2 * full_untwisted
 
 
 def test_opposite_action_swaps_q_and_m_sectors():

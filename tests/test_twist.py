@@ -8,8 +8,9 @@ from spectriple.fuzz import generate_cases
 from spectriple.matrices import Antilinear, Matrix
 from spectriple.triple import (FiniteRealTriple, check_axioms, check_first_order,
                                check_twisted_first_order, inferred_signs)
+from spectriple.realpart import verify_real_part
 from spectriple.twist import (TwistData, TwistError, check_compatibility, compatibility_sign,
-                              identity_twist, twist_by_grading, twisted_commutator)
+                              identity_twist, twist_by_grading, twisted_commutator, twisted_image)
 
 from conftest import SIGMA1, mat, qi
 
@@ -26,6 +27,33 @@ def test_identity_twist_gives_plain_commutator():
     a = rep.apply(basis_elements(spec)[0])
     assert twisted_commutator(d, a, None) == d @ a - a @ d
     assert twisted_commutator(d, a, identity_twist(spec)) == d @ a - a @ d
+    assert twisted_commutator(d, a, identity_twist(spec), rep) == d @ a - a @ d
+
+
+def test_twisted_image_is_the_operator_itself_under_the_identity():
+    spec, rep = diag_pair_rep()
+    e = basis_elements(spec)[0]
+    m = rep.apply(e)
+
+    def moved(move):
+        return rep.apply(move(e))
+
+    for inverse in (False, True):
+        assert twisted_image(identity_twist(spec), m, None, inverse) is m
+        assert twisted_image(TwistData((1, 0)), m, moved, inverse) == rep.apply(basis_elements(spec)[2])
+
+
+def test_untwisted_checks_are_the_identity_twist(ko6_toy):
+    plain = check_first_order(ko6_toy)
+    twisted = check_twisted_first_order(ko6_toy, identity_twist(ko6_toy.spec))
+    assert plain.title == "first-order condition"
+    assert twisted.title == "twisted first-order condition"
+    assert [(c.passed, c.residual, c.detail) for c in plain.checks] == \
+        [(c.passed, c.residual, c.detail) for c in twisted.checks[:1]]
+    assert (twisted.checks[1].name, twisted.checks[1].residual) == ("twist_displacement", 0.0)
+    rp = verify_real_part(ko6_toy)
+    assert rp.ok
+    assert next(c for c in rp.checks if c.name == "subtriple_first_order").detail == "untwisted variant"
 
 
 def test_swap_twist_commutator_oracle():
@@ -158,6 +186,20 @@ def test_compatibility_sign_examples():
     # J with an off phase fails both signs
     j_bad = Antilinear(mat([[1, 0], [0, 1j]]))
     assert compatibility_sign(j_bad, rho) is None
+
+
+def test_failed_twist_checks_name_the_offending_basis_element():
+    # R = diag(2, 1) does not implement the swap: the summand-0 basis
+    # elements 0 and 1 are off by 4, the summand-1 elements 2 and 3 by 1,
+    # so the offender is element 1, the last of the two worst
+    spec, rep = diag_pair_rep()
+    rho = TwistData((1, 0), R=mat([[2, 0], [0, 1]]))
+    validation = {c.name: c for c in rho.validate(spec, rep).checks}
+    compat = {c.name: c for c in check_compatibility(Antilinear(Matrix.identity(2)), rho, rep).checks}
+    for check in (validation["inner_implements_twist"], compat["opposite_twist_exchange"]):
+        assert (check.passed, check.residual, check.detail) == (False, 4.0, "basis element 1")
+    assert compat["real_structure_twist_sign"].passed
+    assert not compat["formulations_agree"].passed
 
 
 def test_check_compatibility_report(ko6_toy):
