@@ -18,8 +18,7 @@ from .fuzz import EVEN_KO, generate_cases
 from .oneforms import omega1_span
 from .realpart import intersect_with_opposite, real_part, structure_label, verify_doubling_dichotomy, verify_real_part
 from .reports import Report
-from .standard_model import (YukawaParams, build_fiber_triple, build_internal_triple,
-                             build_twisted_sm, fiber_majorana, sflip_identification,
+from .standard_model import (YukawaParams, build_sm_models, fiber_majorana, sflip_identification,
                              verify_sm_real_part)
 from .triple import (FiniteRealTriple, check_axioms, check_first_order, check_order_zero,
                      check_twisted_first_order)
@@ -218,16 +217,15 @@ def cmd_sm(args) -> int:
             k_r=args.k_r or "1",
         )
 
-    report = verify_sm_real_part(params)
+    models = build_sm_models(params)
+    internal, fiber, doubled, rho = models
+    report = verify_sm_real_part(models)
 
-    fiber = build_fiber_triple(params)
-    doubled, rho = build_twisted_sm(params)
     d_maj = fiber_majorana(params)
     report.data["majorana_span_untwisted"] = omega1_span(fiber, dirac=d_maj).dimension
     report.data["majorana_span_twisted"] = omega1_span(doubled, rho=rho, dirac=d_maj).dimension
 
     if args.full:
-        internal = build_internal_triple(params)
         report.extend(check_order_zero(internal), prefix="internal_")
         report.extend(check_first_order(internal), prefix="internal_")
         report.extend(check_order_zero(fiber), prefix="fiber_")

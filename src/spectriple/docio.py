@@ -44,7 +44,7 @@ def _parse_scalar(pair, mode: str, where: str):
     re, im = pair
     if mode == "exact":
         try:
-            return QI(rational(Fraction(str(re))), rational(Fraction(str(im))))
+            return QI(_parse_rational(re), _parse_rational(im))
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"{where}: bad exact rational: {exc}") from None
     try:
@@ -54,6 +54,17 @@ def _parse_scalar(pair, mode: str, where: str):
     if not cmath.isfinite(v):
         raise DocumentError(f"{where}: float entries must be finite, got {pair!r}")
     return v
+
+
+def _parse_rational(x):
+    """An exact rational from its document text.  Plain ASCII integers, by
+    far the most common entries, skip the Fraction parser; every other
+    string, accepted or rejected, goes through it."""
+    text = str(x)
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit():
+        return int(text)
+    return rational(Fraction(text))
 
 
 def _emit_matrix(m: Matrix, mode: str) -> list:

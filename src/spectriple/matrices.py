@@ -200,9 +200,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def is_hermitian(self) -> bool:
-        return self.is_square() and (self - self.adjoint()).is_zero()
-
     def is_unitary(self) -> bool:
         return self.is_square() and (self @ self.adjoint() - Matrix.identity(self.nrows, self._exact())).is_zero()
 

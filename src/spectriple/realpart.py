@@ -192,17 +192,15 @@ def verify_real_part(t: FiniteRealTriple, rho: TwistData | None = None) -> Repor
     j = t.real_structure
 
     if t.grading is not None:
-        ok = all((t.grading @ m - m @ t.grading).is_zero() for m in images)
-        report.add("subtriple_grading_commutes", ok)
-
-    defining = all((m @ j.U - j.U @ m.conj()).is_zero() for m in images)
-    report.add("subtriple_commutes_with_j", defining)
+        report.sweep("subtriple_grading_commutes", _per_element(commutator(t.grading, m) for m in images))
+    report.sweep("subtriple_commutes_with_j", _per_element(m @ j.U - j.U @ m.conj() for m in images))
 
     # the pairs (pi(a*), pi((rho^{-1} a)*)) serve all three conditions below
     pairs = [opposite_pair(t.rep, rho, u) for u in elements]
     opposites = [j.conjugate_operator(star) for star, _ in pairs]
-    star_rule = all((o - star).is_zero() for o, (star, _) in zip(opposites, pairs))
-    report.add("subtriple_opposite_equals_star", star_rule, detail="a° = pi(a*) on the real part")
+    report.sweep("subtriple_opposite_equals_star",
+                 _per_element(o - star for o, (star, _) in zip(opposites, pairs)),
+                 "a° = pi(a*) on the real part")
 
     report.sweep("subtriple_order_zero", basis_pairs(images, opposites, commutator, "real-part basis pair"))
     first_order_sweep(report, "subtriple_first_order", t, rho, elements, images, pairs,
@@ -210,6 +208,11 @@ def verify_real_part(t: FiniteRealTriple, rho: TwistData | None = None) -> Repor
 
     report.extend(oneforms.check_twist_commutation(t, rho, elements), prefix="one_forms_")
     return report
+
+
+def _per_element(residuals):
+    """Lazy (label, residual) pairs for a sweep over the real-part basis."""
+    return ((f"real-part basis element {k}", r) for k, r in enumerate(residuals))
 
 
 def verify_doubling_dichotomy(t: FiniteRealTriple, identification=None) -> Report:

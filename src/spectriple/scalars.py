@@ -6,9 +6,16 @@ tolerance would turn them into judgement calls.  Float mode exists for large
 randomized runs; there a single global tolerance governs every equality
 check.
 
-Rational arithmetic uses gmpy2 when available (roughly an order of magnitude
-faster) and falls back to fractions.Fraction otherwise.  Both backends parse
-and print the same "p/q" strings, so documents are portable.
+Rational arithmetic uses gmpy2 when available and falls back to
+fractions.Fraction otherwise.  Both backends parse and print the same "p/q"
+strings, so documents are portable.
+
+Normalisation invariant: an exact rational that is an integer is a Python
+int, any other one is the backend rational.  rational() returns this form and
+every QI real and imaginary part is in it.  Nearly every entry here is 0, +-1
+or +-i, so exact arithmetic is mostly int arithmetic; int and an integral
+Fraction agree in ==, hash and str, so reports and documents cannot tell them
+apart.
 """
 
 from __future__ import annotations
@@ -19,8 +26,7 @@ from fractions import Fraction
 try:
     from gmpy2 import mpq as _mpq
 
-    def rational(value=0, den=None):
-        """Exact rational from int, Fraction, rational string or pair."""
+    def _backend(value, den=None):
         if den is not None:
             return _mpq(value, den)
         if isinstance(value, Fraction):
@@ -29,15 +35,30 @@ try:
 
     _RAT_TYPE = type(_mpq())
 except ImportError:  # pragma: no cover - exercised only without gmpy2
-    def rational(value=0, den=None):
+    def _backend(value, den=None):
         if den is not None:
             return Fraction(value, den)
         return Fraction(value)
 
     _RAT_TYPE = Fraction
 
-RATIONAL_ZERO = rational(0)
-RATIONAL_ONE = rational(1)
+
+def _normal(x):
+    """x in normal form: int when integral, the backend rational otherwise."""
+    if type(x) is int:
+        return x
+    if type(x) is not _RAT_TYPE:
+        x = _backend(x)
+    return int(x.numerator) if x.denominator == 1 else x
+
+
+def rational(value=0, den=None):
+    """Exact rational from int, Fraction, rational string or pair, in normal form."""
+    return _normal(_backend(value, den))
+
+
+RATIONAL_ZERO = 0
+RATIONAL_ONE = 1
 RATIONAL_TYPES = (int, Fraction, _RAT_TYPE)
 
 # Global tolerance for float mode.  It is deliberately a module-level value,
@@ -62,14 +83,15 @@ class QI:
 
     Arithmetic is closed, associative and free of rounding; equality is
     decidable.  Mirrors the attribute API of builtin complex (.real, .imag,
-    .conjugate()) so generic code does not care which backend it got.
+    .conjugate()) so generic code does not care which backend it got.  Both
+    parts are kept in normal form (see the module docstring).
     """
 
     __slots__ = ("real", "imag")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "real", re if isinstance(re, _RAT_TYPE) else rational(re))
-        object.__setattr__(self, "imag", im if isinstance(im, _RAT_TYPE) else rational(im))
+        object.__setattr__(self, "real", re if type(re) is int else _normal(re))
+        object.__setattr__(self, "imag", im if type(im) is int else _normal(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("QI is immutable")
@@ -110,13 +132,13 @@ class QI:
 
     def __truediv__(self, other):
         if isinstance(other, RATIONAL_TYPES):
-            return QI(self.real / other, self.imag / other)
+            return QI(div(self.real, other), div(self.imag, other))
         if isinstance(other, QI):
             n = other.real * other.real + other.imag * other.imag
             if n == 0:
                 raise ZeroDivisionError("division by zero Gaussian rational")
             a, b, c, d = self.real, self.imag, other.real, -other.imag
-            return QI((a * c - b * d) / n, (a * d + b * c) / n)
+            return QI(div(a * c - b * d, n), div(a * d + b * c, n))
         return NotImplemented
 
     def __rtruediv__(self, other):

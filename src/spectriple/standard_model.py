@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import scalars
 from .algebra import AlgebraSpec, BlockKind, Placement, Representation, identity_element
@@ -353,47 +354,68 @@ def doubled_block_placements() -> list[Placement]:
 
 
 def build_twisted_sm(p: YukawaParams | None = None) -> tuple[FiniteRealTriple, TwistData]:
-    """Twist the fiber model by its grading and pin the block pattern.
+    """Twist the fiber model by its grading and pin the block pattern."""
+    p = YukawaParams.exact() if p is None else p
+    return _twist_fiber(build_fiber_triple(p), p.is_exact())
+
+
+def _twist_fiber(fiber: FiniteRealTriple, exact: bool) -> tuple[FiniteRealTriple, TwistData]:
+    """The fiber twisted by its grading through the s-flip identification.
 
     The doubled representation produced by the generic construction is
     checked, basis matrix by basis matrix, against the explicit chirality
     block description; a mismatch is a construction bug, not a report line.
     """
-    p = YukawaParams.exact() if p is None else p
-    fiber = build_fiber_triple(p)
-    doubled, rho = twist_by_grading(fiber, sflip_identification(p.is_exact()))
+    doubled, rho = twist_by_grading(fiber, sflip_identification(exact))
     expected = Representation.from_plan(
-        SM_SPEC.doubled(), FIBER_DIM, doubled_block_placements(), p.is_exact(), validate=False
+        SM_SPEC.doubled(), FIBER_DIM, doubled_block_placements(), exact, validate=False
     )
     if expected != doubled.rep:
         raise RuntimeError("doubled representation does not match its block description")
     return doubled, rho
 
 
-def verify_sm_real_part(p: YukawaParams | None = None) -> Report:
+class SMModels(NamedTuple):
+    """The standard-model models for one parameter set, each built once:
+    the internal triple, the fiber triple and the fiber twisted by its
+    grading (doubled triple and twist).  Immutable, like the triples."""
+
+    internal: FiniteRealTriple
+    fiber: FiniteRealTriple
+    doubled: FiniteRealTriple
+    rho: TwistData
+
+
+def build_sm_models(p: YukawaParams | None = None) -> SMModels:
+    """Build the internal and fiber triples and twist the fiber once."""
+    p = YukawaParams.exact() if p is None else p
+    fiber = build_fiber_triple(p)
+    return SMModels(build_internal_triple(p), fiber, *_twist_fiber(fiber, p.is_exact()))
+
+
+def verify_sm_real_part(p: YukawaParams | SMModels | None = None) -> Report:
     """End-to-end real-part computation for the twisted standard model.
 
     Checks: the twisted real part is one-dimensional and spanned by the
     scalar pattern (lambda, lambda, lambda I_2, lambda I_2, lambda I_3,
     lambda I_3); the twist fixes it; and, independently, A n A° of the
-    untwisted fiber triple equals its A_J, both one-dimensional.
+    untwisted fiber triple equals its A_J, both one-dimensional.  Given
+    parameters (or none, for the defaults), the models are built here.
     """
-    p = YukawaParams.exact() if p is None else p
+    models = p if isinstance(p, SMModels) else build_sm_models(p)
+    internal, fiber, doubled, rho = models
     report = Report("standard model real part")
 
-    internal = build_internal_triple(p)
     internal_axioms = check_axioms(internal)
     report.add("internal_axioms", internal_axioms.ok)
     report.add("internal_ko_dimension", internal_axioms.data.get("ko_dimension") == 6,
                detail=f"signs {internal_axioms.data.get('signs')}")
 
-    fiber = build_fiber_triple(p)
     fiber_axioms = check_axioms(fiber)
     report.add("fiber_axioms", fiber_axioms.ok)
     report.add("fiber_ko_dimension", fiber_axioms.data.get("ko_dimension") == 2,
                detail=f"signs {fiber_axioms.data.get('signs')}")
 
-    doubled, rho = build_twisted_sm(p)
     compat = check_compatibility(fiber.real_structure, rho, doubled.rep)
     report.add("twist_compatible", compat.ok, detail=f"eps_triple = {compat.data.get('eps_triple')}")
 
@@ -432,7 +454,7 @@ def _is_scalar_pattern(elem) -> bool:
     lam = None
     for x, e in zip(elem.coords, ident.coords):
         if e != 0:
-            lam = x / e
+            lam = scalars.div(x, e)
             break
     if lam is None:
         return False

@@ -90,15 +90,13 @@ def check_axioms(t: FiniteRealTriple) -> Report:
     """
     report = Report("axioms")
     d = t.dirac
-    report.add("dirac_selfadjoint", d.is_hermitian(), (d - d.adjoint()).max_abs())
+    _zero_check(report, "dirac_selfadjoint", d - d.adjoint())
 
     if t.grading is not None:
         g = t.grading
-        report.add("grading_selfadjoint", g.is_hermitian(), (g - g.adjoint()).max_abs())
-        square = g @ g - Matrix.identity(t.dim, t.rep._exact())
-        report.add("grading_squares_to_identity", square.is_zero(), square.max_abs())
-        anti = g @ d + d @ g
-        report.add("grading_anticommutes_dirac", anti.is_zero(), anti.max_abs())
+        _zero_check(report, "grading_selfadjoint", g - g.adjoint())
+        _zero_check(report, "grading_squares_to_identity", g @ g - Matrix.identity(t.dim, t.rep._exact()))
+        _zero_check(report, "grading_anticommutes_dirac", g @ d + d @ g)
         report.sweep("grading_commutes_algebra",
                      ((f"basis element {k}", commutator(g, m)) for k, m in enumerate(t.rep.basis_matrices)))
 
@@ -106,7 +104,7 @@ def check_axioms(t: FiniteRealTriple) -> Report:
     if t.real_structure is not None:
         j = t.real_structure
         ident = Matrix.identity(t.dim, t.rep._exact())
-        report.add("real_structure_unitary", j.U.is_unitary(), (j.U @ j.U.adjoint() - ident).max_abs())
+        _zero_check(report, "real_structure_unitary", j.U @ j.U.adjoint() - ident)
 
         eps, res_j = sign_relation(j.squared(), ident)
         report.add("j_squared_plus_minus_identity", eps is not None, res_j,
@@ -130,6 +128,11 @@ def check_axioms(t: FiniteRealTriple) -> Report:
             report.add("declared_signs_match", match, 0.0,
                        f"declared {t.signs.as_tuple()}, computed {inferred.as_tuple()}")
     return report
+
+
+def _zero_check(report: Report, name: str, residual: Matrix) -> None:
+    """Report whether a residual matrix is zero, with its largest entry."""
+    report.add(name, residual.is_zero(), residual.max_abs())
 
 
 def _sign_check(report: Report, name: str, lhs: str, rhs: str, left: Matrix, right: Matrix):

@@ -282,9 +282,14 @@ def _split_plan(t: FiniteRealTriple, exact: bool):
 
 def compatibility_sign(j: Antilinear, rho: TwistData) -> int | None:
     """The sign s with J R = s R J, or None when neither sign works."""
+    return _compatibility_relation(j, rho)[0]
+
+
+def _compatibility_relation(j: Antilinear, rho: TwistData):
+    """matrices.sign_relation of J R against R J: (sign or None, distance)."""
     if rho.R is None:
         raise TwistError("compatibility needs an inner twist (R present)")
-    return sign_relation(j.U @ rho.R.conj(), rho.R @ j.U)[0]
+    return sign_relation(j.U @ rho.R.conj(), rho.R @ j.U)
 
 
 def check_compatibility(j: Antilinear, rho: TwistData, rep: Representation) -> Report:
@@ -296,8 +301,8 @@ def check_compatibility(j: Antilinear, rho: TwistData, rep: Representation) -> R
     eps''' when the sign relation holds.
     """
     report = Report("twist / real-structure compatibility")
-    sign = compatibility_sign(j, rho)
-    report.add("real_structure_twist_sign", sign is not None,
+    sign, residual = _compatibility_relation(j, rho)
+    report.add("real_structure_twist_sign", sign is not None, residual,
                detail=f"J R = {sign:+d} R J" if sign is not None else "J R = +-R J fails for both signs")
     if sign is not None:
         report.data["eps_triple"] = sign

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -278,3 +279,24 @@ def test_non_finite_float_entry_is_malformed(tmp_path, value):
     code, err = run_subprocess("validate", _mutated_ko6(tmp_path, mutate))
     assert code == 2
     assert "dirac[0][1]: float entries must be finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["0", "-0", "007", "-12", "3/6", "4/2", "1_0", " 1", "+1", "١", "1/0",
+                                  "", "1e3", "--1", "-", "²", 7])
+def test_exact_entries_read_as_the_fraction_parser_reads_them(tmp_path, capsys, text):
+    # plain ASCII integers skip the Fraction parser; no input may change
+    # between accepted and rejected, or change its value
+    def mutate(doc):
+        doc["dirac"][0][0] = [text, "0"]
+
+    path = _mutated_ko6(tmp_path, mutate)
+    try:
+        want = Fraction(str(text))
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(DocumentError, match=r"dirac\[0\]\[0\]: bad exact rational"):
+            parse_document(load_document(path))
+        assert run_cli("validate", path) == 2
+        return
+    got = scalars.real_part(parse_document(load_document(path)).triple.dirac.get(0, 0))
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else scalars._RAT_TYPE)

@@ -123,3 +123,17 @@ def test_real_part_contained_in_intersection_on_fuzz_cases():
         ambient = case.triple.spec.real_dimension
         assert subspace_sum_dim(rp.basis, inter) == inter.dim  # A_J subset of A n A°
         assert rp.real_dimension <= inter.dim <= ambient
+
+
+def test_failing_subtriple_checks_name_the_real_part_basis_element(conjugate_pair_toy):
+    # A_J has the basis (1, 0, 1, 0), (0, -1, 0, 1); a grading sigma1 commutes
+    # with pi of the first, I, but not with pi of the second, diag(-i, i):
+    # the commutator is [[0, 2i], [-2i, 0]]
+    t = FiniteRealTriple(conjugate_pair_toy.spec, conjugate_pair_toy.rep, Matrix.zeros(2), SIGMA1,
+                         conjugate_pair_toy.real_structure)
+    checks = {c.name: c for c in verify_real_part(t).checks}
+    grading = checks["subtriple_grading_commutes"]
+    assert (grading.passed, grading.residual, grading.detail) == (False, 2.0, "real-part basis element 1")
+    for name in ("subtriple_commutes_with_j", "subtriple_opposite_equals_star"):
+        assert checks[name].passed and checks[name].residual == 0.0
+    assert checks["subtriple_opposite_equals_star"].detail == "a° = pi(a*) on the real part"

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from spectriple.algebra import AlgebraElement, random_element
+from spectriple.algebra import AlgebraElement, Representation, random_element
 from spectriple.matrices import Matrix, commutator
 from spectriple.realpart import real_part, verify_doubling_dichotomy, verify_real_part
 from spectriple.scalars import QI
-from spectriple.standard_model import (FIBER_DIM, INTERNAL_DIM, SM_SPEC, SMIndex, YukawaParams,
-                                       build_fiber_triple, build_internal_triple,
-                                       build_twisted_sm, fiber_index,
+from spectriple.standard_model import (FIBER_DIM, INTERNAL_DIM, SM_SPEC, SMIndex, SMModels, YukawaParams,
+                                       build_fiber_triple, build_internal_triple, build_sm_models,
+                                       build_twisted_sm, doubled_block_placements, fiber_index,
                                        gamma_f_sign, internal_grading, internal_index,
                                        internal_majorana, sflip_identification,
                                        verify_sm_real_part)
@@ -153,6 +153,23 @@ def test_verify_sm_real_part_passes():
     assert report.data["twisted_real_dimension"] == 1
     assert report.data["fiber_intersection_dimension"] == 1
     assert report.data["fiber_real_part_structure"] == "R"
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_verify_sm_real_part_given_the_models_gives_the_same_report(exact):
+    p = YukawaParams.random(random.Random(31), exact)
+    models = build_sm_models(p)
+    assert isinstance(models, SMModels)
+    assert verify_sm_real_part(models).to_dict() == verify_sm_real_part(p).to_dict()
+
+
+def test_models_doubled_representation_is_the_block_plan():
+    rng = random.Random(32)
+    for _ in range(2):
+        models = build_sm_models(YukawaParams.random(rng))
+        expected = Representation.from_plan(SM_SPEC.doubled(), FIBER_DIM, doubled_block_placements(),
+                                            validate=False)
+        assert models.doubled.rep == expected
 
 
 @pytest.mark.slow

@@ -219,3 +219,15 @@ def test_twisted_first_order_on_fuzz_doubles():
         assert check_first_order(case.triple).ok
         doubled, rho = twist_by_grading(case.triple)
         assert check_twisted_first_order(doubled, rho).ok
+
+
+def test_failed_twist_sign_reports_its_distance():
+    # J = diag(1, i) o conj against the swap R = sigma1: J R and R J differ
+    # by [[0, 1 - i], [i - 1, 0]] and sum to [[0, 1 + i], [1 + i, 0]]
+    spec, rep = diag_pair_rep()
+    rho = TwistData((1, 0), R=SIGMA1)
+    report = check_compatibility(Antilinear(mat([[1, 0], [0, 1j]])), rho, rep)
+    sign = {c.name: c for c in report.checks}["real_structure_twist_sign"]
+    assert not sign.passed
+    assert sign.residual == pytest.approx(2 ** 0.5)
+    assert sign.detail == "J R = +-R J fails for both signs"
