@@ -1,11 +1,20 @@
 """Structured real *-algebras: direct sums of matrix blocks over R, C, H.
 
 An algebra is an ordered list of block kinds; an element is a real
-coordinate vector laid out summand by summand.  Quaternions are always
-stored through their 2x2 complex embedding
-    x0 + x1 i + x2 j + x3 k  ->  [[a, b], [-conj(b), conj(a)]],
-    a = x0 + i x1, b = x2 + i x3,
-so there is a single matrix code path for every block family.
+coordinate vector laid out summand by summand, each block row-major by
+entry, each entry as 1, 2 or 4 real coordinates: x0 (R), x0 + x1 i (C),
+x0 + x1 i + x2 j + x3 k (H).
+
+Element operations act on these coordinates directly.  The involution x*
+and the entrywise conjugation conj(x) are signed coordinate permutations,
+tabulated once per block kind.  Products multiply n x n matrices whose
+entries are real numbers, complex numbers, or quaternions written as pairs
+of complex numbers p = x0 + i x1, q = x2 + i x3 with
+    (p, q)(r, t) = (p r - q conj(t), p t + q conj(r)),
+which is the product in the 2x2 complex embedding
+    x0 + x1 i + x2 j + x3 k  ->  [[p, q], [-conj(q), conj(p)]].
+Only Representation.from_plan, which places block entries on Hilbert
+slots, builds those dense complex blocks (AlgebraElement.blocks()).
 
 Products are summand-local: basis elements of different summands multiply
 to zero, so an element product only forms the blocks where both factors are
@@ -22,14 +31,16 @@ pair against the image of the tabulated product e_k e_l.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
 
 from . import scalars
 from .matrices import Matrix, _stored_zero, real_vector, support_union
 from .scalars import QI, conj, is_zero
 from .subspaces import Echelon, RealSubspaceBasis, real_nullspace, solve_real_linear
 
-_FAMILIES = ("R", "C", "H")
+# real coordinates per matrix entry of each block family
+_PER_ENTRY = {"R": 1, "C": 2, "H": 4}
 
 
 @dataclass(frozen=True)
@@ -40,15 +51,18 @@ class BlockKind:
     n: int = 1
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in _PER_ENTRY:
             raise ValueError(f"unknown block family {self.family!r}")
         if self.n < 1:
             raise ValueError("block size must be positive")
 
     @property
+    def per_entry(self) -> int:
+        return _PER_ENTRY[self.family]
+
+    @cached_property
     def real_dim(self) -> int:
-        per_entry = {"R": 1, "C": 2, "H": 4}[self.family]
-        return per_entry * self.n * self.n
+        return self.per_entry * self.n * self.n
 
     @property
     def matrix_dim(self) -> int:
@@ -61,7 +75,7 @@ class BlockKind:
 
 def parse_kind(label: str) -> BlockKind:
     label = label.strip()
-    if label in _FAMILIES:
+    if label in _PER_ENTRY:
         return BlockKind(label)
     if label.startswith("M") and label.endswith(")") and "(" in label:
         size, family = label[1:-1].split("(")
@@ -76,16 +90,21 @@ class AlgebraSpec:
     def __post_init__(self):
         object.__setattr__(self, "summands", tuple(self.summands))
 
-    @property
-    def real_dimension(self) -> int:
-        return sum(k.real_dim for k in self.summands)
-
-    def offsets(self) -> list[int]:
+    @cached_property
+    def slices(self) -> tuple:
+        """The coordinate slice of each summand."""
         out, pos = [], 0
         for k in self.summands:
-            out.append(pos)
+            out.append(slice(pos, pos + k.real_dim))
             pos += k.real_dim
-        return out
+        return tuple(out)
+
+    @cached_property
+    def real_dimension(self) -> int:
+        return self.slices[-1].stop if self.summands else 0
+
+    def offsets(self) -> list[int]:
+        return [s.start for s in self.slices]
 
     def doubled(self) -> "AlgebraSpec":
         return AlgebraSpec(self.summands + self.summands)
@@ -97,20 +116,7 @@ class AlgebraSpec:
         return len(self.summands)
 
 
-# -- small dense block matrices ---------------------------------------------
-
-
-def _mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    return [[sum((a[i][k] * b[k][j] for k in range(m)), 0) for j in range(p)] for i in range(n)]
-
-
-def _mat_adjoint(a):
-    return [[conj(a[j][i]) for j in range(len(a))] for i in range(len(a[0]))]
-
-
-def _mat_conj(a):
-    return [[conj(v) for v in row] for row in a]
+# -- block operations on real coordinates ------------------------------------
 
 
 def _block_from_coords(kind: BlockKind, coords, exact: bool):
@@ -132,41 +138,105 @@ def _block_from_coords(kind: BlockKind, coords, exact: bool):
     return out
 
 
-def _coords_from_block(kind: BlockKind, block):
-    n = kind.n
-    coords = []
-    if kind.family == "R":
-        for i in range(n):
-            for j in range(n):
-                v = block[i][j]
-                if not is_zero(scalars.imag_part(v)):
-                    raise ValueError("real block acquired an imaginary part")
-                coords.append(scalars.real_part(v))
-    elif kind.family == "C":
-        for i in range(n):
-            for j in range(n):
-                v = block[i][j]
-                coords.extend((scalars.real_part(v), scalars.imag_part(v)))
-    else:
-        for i in range(n):
-            for j in range(n):
-                a = block[2 * i][2 * j]
-                b = block[2 * i][2 * j + 1]
-                if not is_zero(block[2 * i + 1][2 * j] + conj(b)) or not is_zero(
-                    block[2 * i + 1][2 * j + 1] - conj(a)
-                ):
-                    raise ValueError("block left the quaternionic form")
-                coords.extend(
-                    (scalars.real_part(a), scalars.imag_part(a), scalars.real_part(b), scalars.imag_part(b))
-                )
-    return coords
+# Signs of one entry's coordinates under x -> x* (entry conjugate) and under
+# x -> conj(x) (conjugate in the 2x2 embedding: conj(p), conj(q) for H).
+_STAR_SIGNS = {"R": (False,), "C": (False, True), "H": (False, True, True, True)}
+_CONJ_SIGNS = {"R": (False,), "C": (False, True), "H": (False, True, False, True)}
+
+
+@lru_cache(maxsize=None)
+def _star_table(kind: BlockKind) -> tuple:
+    """(source coordinate, negate) for each coordinate of x* on one block."""
+    n, per, signs = kind.n, kind.per_entry, _STAR_SIGNS[kind.family]
+    return tuple((per * (j * n + i) + c, neg)
+                 for i in range(n) for j in range(n) for c, neg in enumerate(signs))
+
+
+@lru_cache(maxsize=None)
+def _conj_table(kind: BlockKind) -> tuple:
+    """(source coordinate, negate) for each coordinate of conj(x) on one block."""
+    signs = _CONJ_SIGNS[kind.family]
+    return tuple((c, signs[c % kind.per_entry]) for c in range(kind.real_dim))
+
+
+def _permute(block, table) -> list:
+    return [-block[s] if neg else block[s] for s, neg in table]
+
+
+def conj_block(kind: BlockKind, block) -> list:
+    """Coordinates of the entrywise conjugate of one block of this kind."""
+    return _permute(block, _conj_table(kind))
+
+
+# The products below add their terms in the order of the dense complex
+# matrix product of the blocks, starting from 0, so that float results are
+# bit-identical to it; exact results are put in scalars' normal form.
+
+
+def _r_product(n, x, y) -> list:
+    out = []
+    for i in range(n):
+        for j in range(n):
+            acc = 0
+            for k in range(n):
+                acc = acc + x[i * n + k] * y[k * n + j]
+            out.append(acc)
+    return out
+
+
+def _c_product(n, x, y) -> list:
+    out = []
+    for i in range(n):
+        for j in range(n):
+            re = im = 0
+            for k in range(n):
+                a = 2 * (i * n + k)
+                b = 2 * (k * n + j)
+                a0, a1, b0, b1 = x[a], x[a + 1], y[b], y[b + 1]
+                re = re + (a0 * b0 - a1 * b1)
+                im = im + (a0 * b1 + a1 * b0)
+            out += (re, im)
+    return out
+
+
+def _h_product(n, x, y) -> list:
+    out = []
+    for i in range(n):
+        for j in range(n):
+            u0 = u1 = v0 = v1 = 0
+            for k in range(n):
+                a0, a1, a2, a3 = x[4 * (i * n + k): 4 * (i * n + k) + 4]
+                b0, b1, b2, b3 = y[4 * (k * n + j): 4 * (k * n + j) + 4]
+                # p r, then q (-conj t)
+                u0 = u0 + (a0 * b0 - a1 * b1)
+                u1 = u1 + (a0 * b1 + a1 * b0)
+                u0 = u0 + (a2 * -b2 - a3 * b3)
+                u1 = u1 + (a2 * b3 + a3 * -b2)
+                # p t, then q conj(r)
+                v0 = v0 + (a0 * b2 - a1 * b3)
+                v1 = v1 + (a0 * b3 + a1 * b2)
+                v0 = v0 + (a2 * b0 - a3 * -b1)
+                v1 = v1 + (a2 * -b1 + a3 * b0)
+            out += (u0, u1, v0, v1)
+    return out
+
+
+_PRODUCTS = {"R": _r_product, "C": _c_product, "H": _h_product}
+
+
+def _block_product(kind: BlockKind, x, y, exact: bool) -> list:
+    """Coordinates of the product of two blocks of one kind."""
+    out = _PRODUCTS[kind.family](kind.n, x, y)
+    if exact:
+        return [c if type(c) is int else scalars._normal(c) for c in out]
+    return out
 
 
 @lru_cache(maxsize=None)
 def _block_basis_products(kind: BlockKind, exact: bool) -> tuple:
     """Coordinates of e_i e_j for the basis of one block: table[i][j]."""
-    blocks = [e.blocks()[0] for e in basis_elements(AlgebraSpec((kind,)), exact)]
-    return tuple(tuple(tuple(_coords_from_block(kind, _mat_mul(a, b))) for b in blocks) for a in blocks)
+    basis = [e.coords for e in basis_elements(AlgebraSpec((kind,)), exact)]
+    return tuple(tuple(tuple(_block_product(kind, a, b, exact)) for b in basis) for a in basis)
 
 
 @dataclass(frozen=True)
@@ -183,19 +253,10 @@ class AlgebraElement:
         return all(scalars.is_exact(c) for c in self.coords)
 
     def blocks(self) -> list:
-        out, pos = [], 0
+        """Dense complex blocks, quaternions through their 2x2 embedding."""
         exact = self._exact()
-        for k in self.spec.summands:
-            out.append(_block_from_coords(k, self.coords[pos: pos + k.real_dim], exact))
-            pos += k.real_dim
-        return out
-
-    @classmethod
-    def from_blocks(cls, spec: AlgebraSpec, blocks) -> "AlgebraElement":
-        coords = []
-        for kind, block in zip(spec.summands, blocks):
-            coords.extend(_coords_from_block(kind, block))
-        return cls(spec, tuple(coords))
+        return [_block_from_coords(k, self.coords[sl], exact)
+                for k, sl in zip(self.spec.summands, self.spec.slices)]
 
     # -- ring structure ----------------------------------------------------
 
@@ -221,27 +282,28 @@ class AlgebraElement:
         not multiplied.
         """
         self._same_spec(other)
-        exact_a, exact_b = self._exact(), other._exact()
-        zero = scalars.RATIONAL_ZERO if exact_a and exact_b else 0.0
-        coords, pos = [], 0
-        for kind in self.spec.summands:
-            end = pos + kind.real_dim
-            xa, xb = self.coords[pos:end], other.coords[pos:end]
+        exact = self._exact() and other._exact()
+        zero = scalars.RATIONAL_ZERO if exact else 0.0
+        coords = []
+        for kind, sl in zip(self.spec.summands, self.spec.slices):
+            xa, xb = self.coords[sl], other.coords[sl]
             if any(xa) and any(xb):
-                a, b = _block_from_coords(kind, xa, exact_a), _block_from_coords(kind, xb, exact_b)
-                coords.extend(_coords_from_block(kind, _mat_mul(a, b)))
+                coords.extend(_block_product(kind, xa, xb, exact))
             else:
                 coords.extend((zero,) * kind.real_dim)
-            pos = end
         return AlgebraElement(self.spec, tuple(coords))
 
     def star(self) -> "AlgebraElement":
         """The involution: blockwise conjugate transpose."""
-        return AlgebraElement.from_blocks(self.spec, [_mat_adjoint(b) for b in self.blocks()])
+        return self._permuted(_star_table)
 
     def conj(self) -> "AlgebraElement":
         """Blockwise entrywise conjugation (a real-linear automorphism)."""
-        return AlgebraElement.from_blocks(self.spec, [_mat_conj(b) for b in self.blocks()])
+        return self._permuted(_conj_table)
+
+    def _permuted(self, table) -> "AlgebraElement":
+        return AlgebraElement(self.spec, tuple(chain.from_iterable(
+            _permute(self.coords[sl], table(k)) for k, sl in zip(self.spec.summands, self.spec.slices))))
 
     def is_zero(self) -> bool:
         return all(is_zero(c) for c in self.coords)
@@ -268,12 +330,10 @@ def identity_element(spec: AlgebraSpec, exact: bool = True) -> AlgebraElement:
     zero = scalars.RATIONAL_ZERO if exact else 0.0
     coords = []
     for kind in spec.summands:
-        per = {"R": 1, "C": 2, "H": 4}[kind.family]
         for i in range(kind.n):
             for j in range(kind.n):
-                head = one if i == j else zero
-                coords.append(head)
-                coords.extend((zero,) * (per - 1))
+                coords.append(one if i == j else zero)
+                coords.extend((zero,) * (kind.per_entry - 1))
     return AlgebraElement(spec, tuple(coords))
 
 
@@ -387,11 +447,9 @@ class Representation:
             items = []
             for p in placements:
                 block = blocks[p.summand]
-                if p.conj:
-                    block = _mat_conj(block)
                 for r, i in enumerate(p.rows):
                     for c, j in enumerate(p.cols):
-                        v = block[r][c]
+                        v = conj(block[r][c]) if p.conj else block[r][c]
                         if not _stored_zero(v):
                             items.append((i, j, v))
             mats.append(Matrix.from_entries(dim, dim, items, exact))

@@ -102,8 +102,10 @@ def _real_part_flags(t: FiniteRealTriple, basis: RealSubspaceBasis, rho: TwistDa
     elements = [AlgebraElement(t.spec, v) for v in basis.vectors]
     algebra_basis = basis_elements(t.spec, t.rep._exact())
 
-    is_subalgebra = all(span.contains((u * v).coords) for u in elements for v in elements)
-    is_commutative = all((u * v - v * u).is_zero() for u in elements for v in elements)
+    products = [[u * v for v in elements] for u in elements]
+    is_subalgebra = all(span.contains(p.coords) for row in products for p in row)
+    is_commutative = all(products[i][j] == products[j][i]
+                         for i in range(len(elements)) for j in range(i + 1, len(elements)))
     is_central = all((u * e - e * u).is_zero() for u in elements for e in algebra_basis)
     is_star_closed = all(span.contains(u.star().coords) for u in elements)
     is_rho_stable = all(span.contains(rho.apply(u).coords) for u in elements)

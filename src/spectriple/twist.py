@@ -21,11 +21,12 @@ basis slots of a diagonal grading in index order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from . import scalars
 from .algebra import AlgebraElement, AlgebraSpec, Placement, Representation
-from .algebra import basis_elements
+from .algebra import basis_elements, conj_block
 from .matrices import Antilinear, Matrix, sign_relation
 from .reports import Report
 
@@ -82,15 +83,15 @@ class TwistData:
 
     def _move(self, elem: AlgebraElement, inverse: bool) -> AlgebraElement:
         self._check_spec(elem.spec)
-        blocks = elem.blocks()
+        kinds, slices = elem.spec.summands, elem.spec.slices
         out = [None] * len(self.perm)
         for i, p in enumerate(self.perm):
             source, target = (i, p) if inverse else (p, i)
-            b = blocks[source]
+            part = elem.coords[slices[source]]
             if self.conj[i]:
-                b = [[scalars.conj(v) for v in row] for row in b]
-            out[target] = b
-        return AlgebraElement.from_blocks(elem.spec, out)
+                part = conj_block(kinds[source], part)
+            out[target] = part
+        return AlgebraElement(elem.spec, tuple(chain.from_iterable(out)))
 
     def validate(self, spec: AlgebraSpec, rep: Representation) -> Report:
         """Regularity rho(a*) = (rho^{-1} a)* and, when R is given, that R

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from spectriple import scalars
 from spectriple.algebra import (AlgebraElement, AlgebraSpec, BlockKind, Placement,
                                 Representation, RepresentationError, _block_basis_products,
-                                _mat_mul, basis_element, basis_elements, center_basis,
+                                basis_element, basis_elements, center_basis,
                                 identity_element, parse_kind, random_element, zero_element)
 from spectriple.matrices import Matrix
-from spectriple.scalars import QI, RATIONAL_ZERO
+from spectriple.scalars import QI, RATIONAL_ZERO, conj, is_zero
+from spectriple.twist import TwistData
 
 from conftest import qi
 
@@ -170,9 +172,64 @@ def test_float_mode_elements():
 BLOCK_KINDS = (BlockKind("R"), BlockKind("C"), BlockKind("H"), BlockKind("C", 2), BlockKind("C", 3))
 
 
+# Dense reference: the element operations as they were computed on the 2x2
+# complex embedding, kept here so that the reference shares no code with
+# the coordinate rules it checks.
+
+
+def _mat_mul(a, b):
+    n, m, p = len(a), len(b), len(b[0])
+    return [[sum((a[i][k] * b[k][j] for k in range(m)), 0) for j in range(p)] for i in range(n)]
+
+
+def _mat_adjoint(a):
+    return [[conj(a[j][i]) for j in range(len(a))] for i in range(len(a[0]))]
+
+
+def _mat_conj(a):
+    return [[conj(v) for v in row] for row in a]
+
+
+def _coords_from_block(kind: BlockKind, block):
+    n = kind.n
+    coords = []
+    if kind.family == "R":
+        for i in range(n):
+            for j in range(n):
+                v = block[i][j]
+                if not is_zero(scalars.imag_part(v)):
+                    raise ValueError("real block acquired an imaginary part")
+                coords.append(scalars.real_part(v))
+    elif kind.family == "C":
+        for i in range(n):
+            for j in range(n):
+                v = block[i][j]
+                coords.extend((scalars.real_part(v), scalars.imag_part(v)))
+    else:
+        for i in range(n):
+            for j in range(n):
+                a = block[2 * i][2 * j]
+                b = block[2 * i][2 * j + 1]
+                if not is_zero(block[2 * i + 1][2 * j] + conj(b)) or not is_zero(
+                    block[2 * i + 1][2 * j + 1] - conj(a)
+                ):
+                    raise ValueError("block left the quaternionic form")
+                coords.extend(
+                    (scalars.real_part(a), scalars.imag_part(a), scalars.real_part(b), scalars.imag_part(b))
+                )
+    return coords
+
+
+def _from_blocks(spec: AlgebraSpec, blocks) -> AlgebraElement:
+    coords = []
+    for kind, block in zip(spec.summands, blocks):
+        coords.extend(_coords_from_block(kind, block))
+    return AlgebraElement(spec, tuple(coords))
+
+
 def _dense_product(a, b):
     """Reference product: multiply every block densely, zero blocks included."""
-    return AlgebraElement.from_blocks(a.spec, [_mat_mul(x, y) for x, y in zip(a.blocks(), b.blocks())])
+    return _from_blocks(a.spec, [_mat_mul(x, y) for x, y in zip(a.blocks(), b.blocks())])
 
 
 def _with_zero_summands(elem, rng, exact):
@@ -203,6 +260,62 @@ def test_block_basis_products_equal_dense_products(exact):
         basis = basis_elements(spec, exact)
         table = _block_basis_products(kind, exact)
         assert table == tuple(tuple(_dense_product(a, b).coords for b in basis) for a in basis)
+
+
+# -- coordinate rules against the dense reference ---------------------------
+
+COORDINATE_KINDS = (BlockKind("R"), BlockKind("C"), BlockKind("H"), BlockKind("R", 2),
+                    BlockKind("C", 2), BlockKind("C", 3), BlockKind("H", 2))
+
+
+def _same_coords(got, want):
+    assert got.coords == want.coords
+    assert [type(c) for c in got.coords] == [type(c) for c in want.coords]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_coordinate_rules_match_dense_reference(exact):
+    rng = random.Random(12)
+    for kind in COORDINATE_KINDS:
+        spec = AlgebraSpec((kind,))
+        basis = basis_elements(spec, exact)
+        table = _block_basis_products(kind, exact)
+        assert table == tuple(tuple(_dense_product(a, b).coords for b in basis) for a in basis)
+    for _ in range(60):
+        spec = AlgebraSpec(tuple(rng.choice(COORDINATE_KINDS) for _ in range(rng.randint(1, 3))))
+        a = _with_zero_summands(random_element(spec, rng, exact), rng, exact)
+        b = _with_zero_summands(random_element(spec, rng, exact), rng, exact)
+        _same_coords(a.star(), _from_blocks(spec, [_mat_adjoint(x) for x in a.blocks()]))
+        _same_coords(a.conj(), _from_blocks(spec, [_mat_conj(x) for x in a.blocks()]))
+        _same_coords(a * b, _dense_product(a, b))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_twist_with_conjugation_flags_is_a_star_automorphism(exact):
+    h, c2 = BlockKind("H"), BlockKind("C", 2)
+    spec = AlgebraSpec((h, c2, h, c2, c2))
+    rho = TwistData((2, 4, 0, 1, 3), (True, True, False, False, True))
+    rng = random.Random(13)
+    for _ in range(20):
+        x, y = random_element(spec, rng, exact), random_element(spec, rng, exact)
+        assert rho.apply(x * y) == rho.apply(x) * rho.apply(y)
+        assert rho.apply(x.star()) == rho.apply(x).star()
+        assert rho.apply_inverse(rho.apply(x)).coords == x.coords
+        assert rho.apply(rho.apply_inverse(x)).coords == x.coords
+
+
+def test_offsets_agree_with_cached_slices():
+    for spec in (SM_LIKE, SM_LIKE.doubled(), AlgebraSpec(COORDINATE_KINDS), AlgebraSpec(())):
+        pos = 0
+        for kind, off, sl in zip(spec.summands, spec.offsets(), spec.slices):
+            assert off == sl.start == pos
+            assert sl.stop - sl.start == kind.real_dim
+            pos += kind.real_dim
+        assert len(spec.slices) == len(spec.summands)
+        assert spec.real_dimension == pos
+        assert spec.slices is spec.slices
+        fresh = AlgebraSpec(spec.summands)
+        assert fresh == spec and hash(fresh) == hash(spec)
 
 
 def test_two_summands_on_one_slot_fail_on_the_first_cross_pair():

@@ -5,11 +5,11 @@ import pytest
 from spectriple.algebra import AlgebraSpec, BlockKind, Placement, Representation
 from spectriple.fuzz import generate_cases
 from spectriple.matrices import Antilinear, Matrix
-from spectriple.realpart import (intersect_with_opposite, real_part, structure_label,
-                                 verify_doubling_dichotomy, verify_real_part)
+from spectriple.realpart import (_real_part_flags, intersect_with_opposite, real_part,
+                                 structure_label, verify_doubling_dichotomy, verify_real_part)
 from spectriple.subspaces import RealSubspaceBasis, subspace_sum_dim
 from spectriple.triple import FiniteRealTriple
-from spectriple.twist import TwistData, TwistError, twist_by_grading
+from spectriple.twist import TwistData, TwistError, identity_twist, twist_by_grading
 
 from conftest import SIGMA1, mat
 
@@ -137,3 +137,19 @@ def test_failing_subtriple_checks_name_the_real_part_basis_element(conjugate_pai
     for name in ("subtriple_commutes_with_j", "subtriple_opposite_equals_star"):
         assert checks[name].passed and checks[name].residual == 0.0
     assert checks["subtriple_opposite_equals_star"].detail == "a° = pi(a*) on the real part"
+
+
+def test_real_part_flags_tell_commutative_from_noncommutative_spans():
+    # the flags of H itself and of its subalgebra C = span{1, i}
+    spec = AlgebraSpec((BlockKind("H"),))
+    rep = Representation.from_plan(spec, 2, [Placement(0, (0, 1), (0, 1))])
+    t = FiniteRealTriple(spec, rep, Matrix.zeros(2), None, Antilinear(Matrix.identity(2)))
+    rho = identity_twist(spec)
+    whole = RealSubspaceBasis.spanned_by(4, [tuple(int(i == k) for i in range(4)) for k in range(4)])
+    line = RealSubspaceBasis.spanned_by(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    assert _real_part_flags(t, whole, rho) == {"is_subalgebra": True, "is_commutative": False,
+                                               "is_central": False, "is_star_closed": True,
+                                               "is_rho_stable": True}
+    assert _real_part_flags(t, line, rho) == {"is_subalgebra": True, "is_commutative": True,
+                                              "is_central": False, "is_star_closed": True,
+                                              "is_rho_stable": True}
