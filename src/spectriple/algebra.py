@@ -35,9 +35,9 @@ from functools import cached_property, lru_cache
 from itertools import chain
 
 from . import scalars
-from .matrices import Matrix, _stored_zero, real_vector, support_union
+from .matrices import Matrix, _stored_zero, real_coords
 from .scalars import QI, conj, is_zero
-from .subspaces import Echelon, RealSubspaceBasis, real_nullspace, solve_real_linear
+from .subspaces import Echelon, RealSubspaceBasis, kernel, solve_real_linear
 
 # real coordinates per matrix entry of each block family
 _PER_ENTRY = {"R": 1, "C": 2, "H": 4}
@@ -362,20 +362,9 @@ def random_element(spec: AlgebraSpec, rng, exact: bool = True, span: int = 3) ->
 
 def center_basis(spec: AlgebraSpec, exact: bool = True) -> RealSubspaceBasis:
     """Basis of {x : x e_k = e_k x for all basis elements e_k}."""
-    d = spec.real_dimension
     basis = basis_elements(spec, exact)
-    columns = []
-    for e_j in basis:
-        col = []
-        for e_k in basis:
-            col.extend((e_j * e_k - e_k * e_j).coords)
-        columns.append(col)
-    rows = []
-    for c in range(len(columns[0]) if columns else 0):
-        row = {j: columns[j][c] for j in range(d) if columns[j][c] != 0}
-        if row:
-            rows.append(row)
-    return real_nullspace(rows, d)
+    return kernel([tuple(chain.from_iterable((e_j * e_k - e_k * e_j).coords for e_k in basis))
+                   for e_j in basis])
 
 
 # -- representations ---------------------------------------------------------
@@ -407,15 +396,13 @@ class RepresentationError(ValueError):
 class Representation:
     """Real-linear embedding of an algebra into operators on C^dim."""
 
-    __slots__ = ("spec", "dim", "basis_matrices", "plan", "_support", "_columns", "_injective")
+    __slots__ = ("spec", "dim", "basis_matrices", "plan", "_injective")
 
     def __init__(self, spec: AlgebraSpec, dim: int, basis_matrices, plan=None, validate: bool = True):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis_matrices", tuple(basis_matrices))
         object.__setattr__(self, "plan", tuple(plan) if plan is not None else None)
-        object.__setattr__(self, "_support", None)
-        object.__setattr__(self, "_columns", None)
         object.__setattr__(self, "_injective", None)
         if len(self.basis_matrices) != spec.real_dimension:
             raise RepresentationError("one basis matrix per real coordinate is required")
@@ -505,38 +492,24 @@ class Representation:
                 acc[key] = x * v if cur is None else cur + x * v
         return Matrix(self.dim, self.dim, acc)
 
-    def _flat(self):
-        support = object.__getattribute__(self, "_support")
-        if support is None:
-            support = support_union(self.basis_matrices)
-            columns = [real_vector(m, support) for m in self.basis_matrices]
-            object.__setattr__(self, "_support", support)
-            object.__setattr__(self, "_columns", columns)
-        return support, object.__getattribute__(self, "_columns")
-
     def is_injective(self) -> bool:
         cached = object.__getattribute__(self, "_injective")
         if cached is None:
-            _, columns = self._flat()
-            ech = Echelon(len(columns[0]) if columns else 0)
-            for col in columns:
-                ech.add(col)
+            ech = Echelon(2 * self.dim * self.dim)
+            for m in self.basis_matrices:
+                ech.add(real_coords(m))
             cached = ech.rank == self.spec.real_dimension
             object.__setattr__(self, "_injective", cached)
         return cached
 
     def pullback(self, m: Matrix) -> AlgebraElement | None:
         """The element x with apply(x) = m, or None when m is not in the image."""
-        support, columns = self._flat()
-        extra = [k for k, _ in m.entries() if k not in set(support)]
-        if extra:
-            ext = support + sorted(extra)
-            columns = [real_vector(b, ext) for b in self.basis_matrices]
-            support = ext
-        target = real_vector(m, support)
-        coeffs = solve_real_linear(columns, target, len(target))
+        coeffs = solve_real_linear([real_coords(b) for b in self.basis_matrices], real_coords(m))
         if coeffs is None:
             return None
+        if not self._exact():
+            # solver output keeps plain-integer entries; one mode per element
+            coeffs = tuple(float(c) for c in coeffs)
         elem = AlgebraElement(self.spec, coeffs)
         if self.apply(elem) != m:
             return None

@@ -8,8 +8,11 @@ malformed input.  --json switches the report to machine-readable output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
+from fractions import Fraction
 
 from . import scalars
 from .algebra import Representation, RepresentationError
@@ -18,6 +21,7 @@ from .fuzz import EVEN_KO, generate_cases
 from .oneforms import omega1_span
 from .realpart import intersect_with_opposite, real_part, structure_label, verify_doubling_dichotomy, verify_real_part
 from .reports import Report
+from .scalars import QI
 from .standard_model import (YukawaParams, build_sm_models, fiber_majorana, sflip_identification,
                              verify_sm_real_part)
 from .triple import (FiniteRealTriple, check_axioms, check_first_order, check_order_zero,
@@ -75,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
     for flag in ("--y-nu", "--y-e", "--y-u", "--y-d"):
-        p.add_argument(flag, default=None, help="complex value as 're,im' (exact rationals)")
+        p.add_argument(flag, default=None, help="complex value as 're,im' (rationals, or floats with --mode float)")
     p.add_argument("--k-r", default=None, help="real Majorana mass")
     p.add_argument("--full", action="store_true",
                    help="also run the order-zero / first-order pair sweeps")
@@ -202,20 +206,11 @@ def _undoubled(t: FiniteRealTriple) -> FiniteRealTriple | None:
 
 
 def cmd_sm(args) -> int:
-    if args.mode == "float":
-        defaults = dict(y_nu=0.5 + 0j, y_e=1 / 3 + 0j, y_u=2 / 3 + 0j, y_d=0.6 + 0j, k_r=1.0)
-        for name in ("y_nu", "y_e", "y_u", "y_d", "k_r"):
-            raw = getattr(args, name)
-            if raw is not None:
-                parts = [float(x) for x in str(raw).split(",")]
-                defaults[name] = complex(*parts) if name != "k_r" else parts[0]
-        params = YukawaParams(**defaults)
-    else:
-        params = YukawaParams.exact(
-            *(getattr(args, n) or d for n, d in
-              (("y_nu", "1/2"), ("y_e", "1/3"), ("y_u", "2/3"), ("y_d", "3/5"))),
-            k_r=args.k_r or "1",
-        )
+    try:
+        params = _sm_params(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     models = build_sm_models(params)
     internal, fiber, doubled, rho = models
@@ -247,6 +242,31 @@ def cmd_sm(args) -> int:
             args.dump_twisted,
         )
     return _finish(report, args.json)
+
+
+def _sm_params(args) -> YukawaParams:
+    """The default couplings, overridden by the flags given; a malformed flag
+    raises ValueError naming it."""
+    exact = args.mode == "exact"
+    params = YukawaParams.exact() if exact else YukawaParams(0.5 + 0j, 1 / 3 + 0j, 2 / 3 + 0j, 0.6 + 0j, 1.0)
+    given = {}
+    for name in ("y_nu", "y_e", "y_u", "y_d", "k_r"):
+        raw, real = getattr(args, name), name == "k_r"
+        if raw is None:
+            continue
+        try:
+            values = [Fraction(x) if exact else float(x) for x in raw.split(",")]
+            if len(values) > 2 - real or not (exact or all(map(math.isfinite, values))):
+                raise ValueError
+        except (ValueError, ZeroDivisionError):
+            form = "" if real else "'re' or 're,im', each "
+            kind = "rational" if exact else "finite float"
+            raise ValueError(f"--{name.replace('_', '-')} {raw}: expected {form}a {kind}") from None
+        if real:
+            given[name] = scalars.rational(values[0]) if exact else values[0]
+        else:
+            given[name] = QI(*values) if exact else complex(*values)
+    return dataclasses.replace(params, **given)
 
 
 def cmd_fuzz(args) -> int:

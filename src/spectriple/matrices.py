@@ -7,6 +7,11 @@ every operator in this domain is permutation- or block-diagonal-sparse and
 exact rational products would otherwise dominate the runtime.
 
 Instances are immutable after construction; all operations are pure.
+
+Real-linear questions about operators are asked on their real coordinates:
+real_coords puts the real part of entry (i, j) at 2 (i ncols + j), its
+imaginary part at the next index, and leaves zeros out, one layout for all
+operators of one shape.
 """
 
 from __future__ import annotations
@@ -244,22 +249,17 @@ def sign_relation(left: Matrix, right: Matrix):
     return None, min(diff.max_abs(), total.max_abs())
 
 
-def support_union(mats) -> list:
-    """Sorted list of positions where any of the matrices is nonzero."""
-    positions = set()
-    for m in mats:
-        positions.update(k for k, _ in m.entries())
-    return sorted(positions)
-
-
-def real_vector(m: Matrix, positions) -> tuple:
-    """Flatten a matrix over given positions into (re, im) real coordinates."""
-    out = []
-    for pos in positions:
-        v = m._e.get(pos, 0)
-        out.append(scalars.real_part(v))
-        out.append(scalars.imag_part(v))
-    return tuple(out)
+def real_coords(m: Matrix) -> dict:
+    """The nonzero real coordinates of a matrix, as a dict coordinate -> value."""
+    out = {}
+    for (i, j), v in m.entries():
+        k = 2 * (i * m.ncols + j)
+        re, im = scalars.real_part(v), scalars.imag_part(v)
+        if re != 0:
+            out[k] = re
+        if im != 0:
+            out[k + 1] = im
+    return out
 
 
 class Antilinear:

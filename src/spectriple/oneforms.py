@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import basis_elements
-from .matrices import Matrix, real_vector, support_union
+from .matrices import Matrix, real_coords
 from .reports import Report
 from .subspaces import Echelon
 from .triple import FiniteRealTriple
@@ -45,12 +45,10 @@ class OneFormSpan:
     generators: tuple
 
     def contains(self, m: Matrix) -> bool:
-        mats = [g for _, g in self.generators] + [m]
-        positions = support_union(mats)
-        ech = Echelon(2 * len(positions))
-        for g in mats[:-1]:
-            ech.add(real_vector(g, positions))
-        return ech.contains(real_vector(m, positions))
+        ech = Echelon(2 * m.nrows * m.ncols)
+        for _, g in self.generators:
+            ech.add(real_coords(g))
+        return ech.contains(real_coords(m))
 
 
 def omega1_span(t: FiniteRealTriple, rho: TwistData | None = None,
@@ -68,20 +66,13 @@ def omega1_span(t: FiniteRealTriple, rho: TwistData | None = None,
     brackets = [twisted_bracket(d, m, twisted_image(rho, m, lambda move: t.rep.apply(move(e))))
                 for e, m in zip(basis, t.rep.basis_matrices)]
 
-    candidates = []
+    ech = Echelon(2 * t.dim * t.dim)
+    generators = []
     for k, ma in enumerate(t.rep.basis_matrices):
         for l, br in enumerate(brackets):
             w = ma @ br
-            if w.nnz():
-                candidates.append(((k, l), w))
-    positions = support_union([w for _, w in candidates])
-    if not positions:
-        return OneFormSpan(0, ())
-    ech = Echelon(2 * len(positions))
-    generators = []
-    for key, w in candidates:
-        if ech.add(real_vector(w, positions)):
-            generators.append((key, w))
+            if w.nnz() and ech.add(real_coords(w)):
+                generators.append(((k, l), w))
     return OneFormSpan(ech.rank, tuple(generators))
 
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from . import oneforms, scalars
 from .algebra import AlgebraElement, basis_elements, identity_element
-from .matrices import commutator, real_vector, support_union
+from .matrices import commutator, real_coords
 from .reports import Report
-from .subspaces import RealSubspaceBasis, intersect_coefficients, real_nullspace, solve_real_linear
+from .subspaces import RealSubspaceBasis, kernel, solve_real_linear
 from .triple import (FiniteRealTriple, basis_pairs, check_axioms, first_order_sweep, inferred_signs,
                      ko_dimension)
 from .twist import TwistData, TwistError, check_compatibility, identity_twist, opposite_pair, twist_by_grading
@@ -38,29 +38,6 @@ class RealPartResult:
 
     def elements(self, t: FiniteRealTriple) -> list[AlgebraElement]:
         return [AlgebraElement(t.spec, v) for v in self.basis.vectors]
-
-
-def _commutation_rows(t: FiniteRealTriple):
-    """Constraint rows (over algebra coordinates) of pi(x) J = J pi(x)."""
-    u = t.real_structure.U
-    diffs = [m @ u - u @ m.conj() for m in t.rep.basis_matrices]
-    rows = []
-    for pos in support_union(diffs):
-        row_re, row_im = {}, {}
-        for j, m in enumerate(diffs):
-            v = m.get(*pos)
-            if v == 0:
-                continue
-            re, im = scalars.real_part(v), scalars.imag_part(v)
-            if re != 0:
-                row_re[j] = re
-            if im != 0:
-                row_im[j] = im
-        if row_re:
-            rows.append(row_re)
-        if row_im:
-            rows.append(row_im)
-    return rows, t.spec.real_dimension
 
 
 def real_part(t: FiniteRealTriple, rho: TwistData | None = None) -> RealPartResult:
@@ -79,8 +56,9 @@ def real_part(t: FiniteRealTriple, rho: TwistData | None = None) -> RealPartResu
         if not compat.ok:
             raise TwistError("twist is not compatible with the real structure")
 
-    rows, k = _commutation_rows(t)
-    basis = _cast_basis(real_nullspace(rows, k), t.rep._exact())
+    u = t.real_structure.U
+    commutators = (real_coords(m @ u - u @ m.conj()) for m in t.rep.basis_matrices)
+    basis = _cast_basis(kernel(commutators), t.rep._exact())
     flags = _real_part_flags(t, basis, rho)
     return RealPartResult(basis, basis.dim, flags)
 
@@ -121,23 +99,19 @@ def _real_part_flags(t: FiniteRealTriple, basis: RealSubspaceBasis, rho: TwistDa
 def intersect_with_opposite(t: FiniteRealTriple) -> RealSubspaceBasis:
     """A n A° as a subspace of the algebra (in algebra coordinates).
 
-    Solved through the concatenated system on operator images: the elements
-    of span{pi(e_k)} n span{J pi(e_k) J^{-1}} are exactly the pi(x) whose
-    coefficient vector x this returns.  Requires an injective representation.
+    Solved as the kernel of the operator images [pi(e_k) | -J pi(e_k) J^{-1}]:
+    the elements of span{pi(e_k)} n span{J pi(e_k) J^{-1}} are exactly the
+    pi(x) whose coefficient vector x this returns.  Requires an injective representation.
     """
     if t.real_structure is None:
         raise ValueError("real structure required")
     if not t.rep.is_injective():
         raise ValueError("intersection with the opposite needs an injective representation")
-    j = t.real_structure
-    images = list(t.rep.basis_matrices)
-    opposites = [j.conjugate_operator(m) for m in images]
-    positions = support_union(images + opposites)
-    ambient = 2 * len(positions)
-    b1 = RealSubspaceBasis(ambient, tuple(real_vector(m, positions) for m in images))
-    b2 = RealSubspaceBasis(ambient, tuple(real_vector(m, positions) for m in opposites))
-    xs = [x for x, _ in intersect_coefficients(b1, b2)]
-    return _cast_basis(RealSubspaceBasis.spanned_by(t.spec.real_dimension, xs), t.rep._exact())
+    images = t.rep.basis_matrices
+    opposites = [-t.real_structure.conjugate_operator(m) for m in images]
+    k = t.spec.real_dimension
+    xs = [s[:k] for s in kernel(map(real_coords, list(images) + opposites)).vectors]
+    return _cast_basis(RealSubspaceBasis.spanned_by(k, xs), t.rep._exact())
 
 
 def structure_label(t: FiniteRealTriple, basis: RealSubspaceBasis) -> str:
@@ -161,7 +135,7 @@ def structure_label(t: FiniteRealTriple, basis: RealSubspaceBasis) -> str:
         ident = identity_element(t.spec, t.rep._exact())
         sq = g * g
         cols = [ident.coords, g.coords]
-        coeffs = solve_real_linear(cols, sq.coords, len(sq.coords))
+        coeffs = solve_real_linear(cols, sq.coords)
         if coeffs is not None:
             beta, alpha = coeffs
             disc = alpha * alpha + 4 * beta

@@ -1,8 +1,12 @@
 """Real-linear subspace computations: nullspace, span, intersection.
 
 Everything here operates on real coordinate vectors (entries are exact
-rationals or floats) and is shared by the solvers behind commutant
-computations, representation pullbacks and one-form spans.
+rationals or floats), dense sequences or sparse dicts coordinate -> value.
+
+real_nullspace solves constraint rows.  kernel is the one route from column
+images (commutants, pullbacks, intersections, the algebra center) to the
+coefficients c with sum_i c_i columns_i = 0: it transposes the columns into
+rows, in increasing coordinate order, and hands them to real_nullspace.
 
 The elimination keeps rows sparse (dict col -> value): constraint systems in
 this domain have a handful of nonzeros per row, and the reduced echelon form
@@ -17,10 +21,16 @@ from dataclasses import dataclass, field
 from . import scalars
 
 
+def _items(vec):
+    return vec.items() if isinstance(vec, dict) else enumerate(vec)
+
+
 def _row_to_dict(row) -> dict:
-    if isinstance(row, dict):
-        return {j: v for j, v in row.items() if v != 0}
-    return {j: v for j, v in enumerate(row) if v != 0}
+    return {j: v for j, v in _items(row) if v != 0}
+
+
+def _negated(vec) -> dict:
+    return {j: -v for j, v in _items(vec)}
 
 
 class Echelon:
@@ -140,6 +150,20 @@ def real_nullspace(rows, width: int) -> "RealSubspaceBasis":
     return RealSubspaceBasis(width, tuple(ech.nullspace()))
 
 
+def kernel(columns) -> "RealSubspaceBasis":
+    """Basis of {c : sum_i c_i columns_i = 0}, one coefficient per column.
+
+    Coordinates where every column vanishes give no row.
+    """
+    columns = list(columns)
+    rows: dict = {}
+    for i, col in enumerate(columns):
+        for k, v in _items(col):
+            if v != 0:
+                rows.setdefault(k, {})[i] = v
+    return real_nullspace((rows[k] for k in sorted(rows)), len(columns))
+
+
 @dataclass(frozen=True)
 class RealSubspaceBasis:
     """A list of linearly independent real vectors spanning a subspace."""
@@ -188,75 +212,36 @@ class RealSubspaceBasis:
 def subspace_sum_dim(b1: RealSubspaceBasis, b2: RealSubspaceBasis) -> int:
     if b1.ambient != b2.ambient:
         raise ValueError("ambient dimension mismatch")
-    ech = Echelon(b1.ambient)
-    for v in b1.vectors:
-        ech.add(v)
+    ech = b1.echelon()
     for v in b2.vectors:
         ech.add(v)
     return ech.rank
 
 
 def intersect_coefficients(b1: RealSubspaceBasis, b2: RealSubspaceBasis) -> list[tuple]:
-    """Pairs (x, y) with sum_i x_i u_i = sum_j y_j v_j, spanning all solutions.
-
-    This is the nullspace of the concatenated system [U | -V] read along
-    ambient coordinates; coordinates where every vector vanishes are skipped.
-    """
+    """Pairs (x, y) with sum_i x_i u_i = sum_j y_j v_j, spanning all solutions:
+    the kernel of the columns [U | -V]."""
     if b1.ambient != b2.ambient:
         raise ValueError("ambient dimension mismatch")
-    r1, r2 = b1.dim, b2.dim
-    rows = []
-    for k in range(b1.ambient):
-        row = {}
-        for i, u in enumerate(b1.vectors):
-            if u[k] != 0:
-                row[i] = u[k]
-        for j, v in enumerate(b2.vectors):
-            if v[k] != 0:
-                row[r1 + j] = -v[k]
-        if row:
-            rows.append(row)
-    sols = real_nullspace(rows, r1 + r2)
-    return [(s[:r1], s[r1:]) for s in sols.vectors]
+    sols = kernel(list(b1.vectors) + [_negated(v) for v in b2.vectors])
+    return [(s[:b1.dim], s[b1.dim:]) for s in sols.vectors]
 
 
 def subspace_intersect(b1: RealSubspaceBasis, b2: RealSubspaceBasis) -> RealSubspaceBasis:
     """Basis of span(b1) n span(b2)."""
-    vectors = []
-    for x, _ in intersect_coefficients(b1, b2):
-        vec = [0] * b1.ambient
-        for i, c in enumerate(x):
-            if c == 0:
-                continue
-            u = b1.vectors[i]
-            for k in range(b1.ambient):
-                if u[k] != 0:
-                    vec[k] = vec[k] + c * u[k]
-        vectors.append(tuple(vec))
+    vectors = [tuple(sum((c * u[k] for c, u in zip(x, b1.vectors)), 0) for k in range(b1.ambient))
+               for x, _ in intersect_coefficients(b1, b2)]
     return RealSubspaceBasis.spanned_by(b1.ambient, vectors)
 
 
-def solve_real_linear(columns, target, ambient: int):
+def solve_real_linear(columns, target):
     """Coefficients c with sum_i c_i columns_i = target, or None.
 
-    Solved as the homogeneous system in (c, t) with the target weighted by t,
-    then normalized to t = 1; when the columns are independent the result is
-    unique.
+    Solved as the kernel of [columns | -target], normalized to weight 1 on
+    the target; when the columns are independent the result is unique.
     """
     r = len(columns)
-    rows = []
-    for k in range(ambient):
-        row = {}
-        for i, col in enumerate(columns):
-            if col[k] != 0:
-                row[i] = col[k]
-        tk = target[k]
-        if tk != 0:
-            row[r] = -tk
-        if row:
-            rows.append(row)
-    sols = real_nullspace(rows, r + 1)
-    for s in sols.vectors:
+    for s in kernel(list(columns) + [_negated(target)]).vectors:
         t = s[r]
         if not scalars.is_zero(t):
             return tuple(scalars.div(c, t) for c in s[:r])

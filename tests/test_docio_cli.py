@@ -210,6 +210,19 @@ def test_invalid_tolerance_is_malformed_input(tol):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [
+    ("--y-nu=abc",), ("--y-nu=1,2,3",), ("--k-r=x",), ("--k-r=1,2",), ("--y-d=1/0",), ("--y-nu=",),
+    ("--mode=float", "--y-nu=abc"), ("--mode=float", "--y-nu=1,2,3"), ("--mode=float", "--k-r=1,2"),
+    ("--mode=float", "--k-r=nan"), ("--mode=float", "--y-e=inf"), ("--mode=float", "--y-u=1,-inf"),
+])
+def test_malformed_coupling_is_malformed_input(flags):
+    code, err = run_subprocess("sm", *flags)
+    flag = flags[-1].split("=")[0]
+    assert code == 2
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_tolerance_holds_for_one_call_only(monkeypatch, capsys):
     before = scalars.get_tolerance()
     seen = []

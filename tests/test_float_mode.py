@@ -1,10 +1,12 @@
 """Float-backend coverage: the same code paths under the global tolerance."""
 
-from spectriple.algebra import AlgebraSpec, BlockKind, Placement, Representation
+import pytest
+
+from spectriple.algebra import AlgebraSpec, BlockKind, Placement, Representation, basis_elements
 from spectriple.fuzz import generate_cases
 from spectriple.matrices import Antilinear, Matrix
 from spectriple.realpart import real_part, verify_doubling_dichotomy
-from spectriple.standard_model import YukawaParams, build_internal_triple
+from spectriple.standard_model import YukawaParams, build_internal_triple, internal_representation
 from spectriple.triple import FiniteRealTriple, check_axioms, check_first_order, check_order_zero
 
 
@@ -76,3 +78,15 @@ def test_float_violation_above_tolerance_fails():
     report = check_axioms(t2)
     assert not report.ok
     assert any(c.name == "grading_anticommutes_dirac" and not c.passed for c in report.checks)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_pullback_coordinates_stay_in_the_representation_mode(exact):
+    rep = internal_representation(exact)
+    for e in basis_elements(rep.spec, exact):
+        x = rep.pullback(rep.apply(e))
+        assert x.coords == e.coords
+        if exact:
+            assert not any(isinstance(c, float) for c in x.coords)
+        else:
+            assert all(type(c) is float for c in x.coords)

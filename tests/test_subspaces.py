@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from spectriple.subspaces import (Echelon, RealSubspaceBasis, intersect_coefficients,
+from spectriple.subspaces import (Echelon, RealSubspaceBasis, intersect_coefficients, kernel,
                                   real_nullspace, solve_real_linear, subspace_intersect,
                                   subspace_sum_dim)
 
@@ -116,9 +116,9 @@ def test_solve_real_linear():
     f = Fraction
     cols = [(f(1), f(0), f(2)), (f(0), f(1), f(1))]
     target = (f(3), f(4), f(10))
-    coeffs = solve_real_linear(cols, target, 3)
+    coeffs = solve_real_linear(cols, target)
     assert coeffs == (f(3), f(4))
-    assert solve_real_linear(cols, (f(1), f(0), f(0)), 3) is None
+    assert solve_real_linear(cols, (f(1), f(0), f(0))) is None
 
 
 def test_echelon_contains():
@@ -133,3 +133,63 @@ def test_spanned_by_filters_dependent_vectors():
     f = Fraction
     basis = RealSubspaceBasis.spanned_by(2, [(f(1), f(1)), (f(2), f(2)), (f(1), f(0))])
     assert basis.dim == 2
+
+
+# -- kernel against an independent dense reference ---------------------------
+
+
+def _reference_rank(rows) -> int:
+    """Rank by dense Fraction Gauss-Jordan elimination."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][c]
+        rows[rank] = [v / lead for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _random_columns(rng, m):
+    """Columns in R^m: random, zero, repeated and dependent ones, half as sparse dicts."""
+    columns = []
+    for _ in range(rng.randint(0, 7)):
+        kind = rng.choice(("random", "random", "zero", "repeat", "combination"))
+        if kind == "zero" or (kind != "random" and not columns):
+            col = [Fraction(0)] * m
+        elif kind == "repeat":
+            col = list(rng.choice(columns))
+        elif kind == "combination":
+            col = [Fraction(0)] * m
+            for other in rng.sample(columns, rng.randint(1, len(columns))):
+                c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                col = [a + c * b for a, b in zip(col, other)]
+        else:
+            col = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6 else Fraction(0)
+                   for _ in range(m)]
+        columns.append(col)
+    return columns
+
+
+def test_kernel_matches_dense_reference_on_random_systems():
+    rng = random.Random(23)
+    for _ in range(300):
+        m = rng.randint(1, 8)
+        dense = _random_columns(rng, m)
+        given = [tuple(c) if rng.random() < 0.5 else {k: v for k, v in enumerate(c) if v != 0}
+                 for c in dense]
+        basis = kernel(given)
+        assert basis.ambient == len(dense)
+        # the columns as the rows of the transposed system, one per coordinate
+        rows = [[col[k] for col in dense] for k in range(m)]
+        assert basis.dim == len(dense) - _reference_rank(rows)
+        for v in basis.vectors:
+            assert all(sum(c * x for c, x in zip(row, v)) == 0 for row in rows)
+        assert _reference_rank([list(v) for v in basis.vectors]) == basis.dim
