@@ -199,7 +199,8 @@ def _undoubled(t: FiniteRealTriple) -> FiniteRealTriple | None:
     k = spec0.real_dimension
     mats = [a + b for a, b in zip(t.rep.basis_matrices[:k], t.rep.basis_matrices[k:])]
     try:
-        rep0 = Representation(spec0, t.dim, mats)
+        # a -> (a, a) is a unital *-homomorphism, so pi is one whenever the parsed pi2 is
+        rep0 = Representation(spec0, t.dim, mats, validate=False)
         return FiniteRealTriple(spec0, rep0, t.dirac, t.grading, t.real_structure)
     except (RepresentationError, ValueError):
         return None

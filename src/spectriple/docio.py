@@ -7,9 +7,13 @@ grading, real structure, KO signs, twist and eigenspace identification.
 
 Complex entries are two-element arrays [re, im]; exact rationals are
 canonical "p/q" strings (plain integers allowed), floats are finite JSON
-numbers.  Matrices are dense row-major; the twist unitary and the
-identification are hilbert_dim x hilbert_dim.  parse and emit are mutually
-inverse on canonical documents, which the shipped fixtures are.
+numbers.  A matrix is either dense, a list of rows, or sparse,
+{"shape": [n, m], "entries": [[i, j, [re, im]], ...]} with absent entries
+zero.  Emission writes the sparse form exactly when fewer than half the
+entries are nonzero, with its entries sorted by (i, j) and no zero written;
+parsing accepts either form wherever a matrix goes.  The twist unitary and
+the identification are hilbert_dim x hilbert_dim.  parse and emit are
+mutually inverse on canonical documents, which the shipped fixtures are.
 """
 
 from __future__ import annotations
@@ -67,33 +71,72 @@ def _parse_rational(x):
     return rational(Fraction(text))
 
 
-def _emit_matrix(m: Matrix, mode: str) -> list:
+def _emit_matrix(m: Matrix, mode: str) -> list | dict:
+    """Sparse when fewer than half the entries are nonzero, dense otherwise."""
+    if 2 * m.nnz() < m.nrows * m.ncols:
+        return {
+            "shape": [m.nrows, m.ncols],
+            "entries": [[i, j, _emit_scalar(v, mode)] for (i, j), v in sorted(m.entries())],
+        }
     zero = _emit_scalar(QI(0), "exact") if mode == "exact" else [0.0, 0.0]
-    out = []
-    for i in range(m.nrows):
-        row = [list(zero) for _ in range(m.ncols)]
-        out.append(row)
+    out = [[list(zero) for _ in range(m.ncols)] for _ in range(m.nrows)]
     for (i, j), v in m.entries():
         out[i][j] = _emit_scalar(v, mode)
     return out
 
 
-def _parse_matrix(rows, mode: str, where: str, dim: int | None = None) -> Matrix:
-    """A dense matrix; with dim given it must be dim x dim."""
+def _parse_matrix(value, mode: str, where: str, dim: int | None = None) -> Matrix:
+    """A dense or sparse matrix; with dim given it must be dim x dim."""
+    if isinstance(value, dict):
+        m = _parse_sparse(value, mode, where)
+    else:
+        m = _parse_dense(value, mode, where)
+    if dim is not None and (m.nrows, m.ncols) != (dim, dim):
+        raise DocumentError(f"{where}: expected {dim}x{dim} (hilbert_dim), got {m.nrows}x{m.ncols}")
+    return m
+
+
+def _parse_dense(rows, mode: str, where: str) -> Matrix:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
-        raise DocumentError(f"{where}: a matrix is a non-empty list of rows")
+        raise DocumentError(f"{where}: a matrix is a non-empty list of rows or a sparse object")
     ncols = len(rows[0])
-    if dim is not None and (len(rows), ncols) != (dim, dim):
-        raise DocumentError(f"{where}: expected {dim}x{dim} (hilbert_dim), got {len(rows)}x{ncols}")
     entries = {}
     for i, row in enumerate(rows):
         if len(row) != ncols:
             raise DocumentError(f"{where}: row {i} has {len(row)} entries, expected {ncols}")
         for j, pair in enumerate(row):
-            v = _parse_scalar(pair, mode, f"{where}[{i}][{j}]")
-            if (mode == "exact" and v) or (mode == "float" and v != 0):
-                entries[(i, j)] = v
-    return Matrix(len(rows), ncols, entries)
+            entries[(i, j)] = _parse_scalar(pair, mode, f"{where}[{i}][{j}]")
+    return Matrix(len(rows), ncols, entries)  # zeros are not stored
+
+
+def _parse_sparse(obj: dict, mode: str, where: str) -> Matrix:
+    """{"shape": [n, m], "entries": [[i, j, [re, im]], ...]}; absent entries are 0."""
+    for key in obj:
+        if key not in ("shape", "entries"):
+            raise DocumentError(f"{where}: unexpected key {key!r} in a sparse matrix")
+    if len(obj) != 2:
+        raise DocumentError(f"{where}: a sparse matrix needs 'shape' and 'entries'")
+    shape, items = obj["shape"], obj["entries"]
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(x) is int and x > 0 for x in shape)):
+        raise DocumentError(f"{where}.shape: expected two positive integers, got {shape!r}")
+    nrows, ncols = shape
+    if not isinstance(items, list):
+        raise DocumentError(f"{where}.entries: expected a list of [i, j, [re, im]]")
+    entries = {}
+    for k, item in enumerate(items):
+        at = f"{where}.entries[{k}]"
+        if not isinstance(item, list) or len(item) != 3:
+            raise DocumentError(f"{at}: an entry is [i, j, [re, im]]")
+        i, j, pair = item
+        if type(i) is not int or type(j) is not int:
+            raise DocumentError(f"{at}: indices must be integers, got ({i!r}, {j!r})")
+        if not (0 <= i < nrows and 0 <= j < ncols):
+            raise DocumentError(f"{at}: index ({i}, {j}) outside {nrows}x{ncols}")
+        if (i, j) in entries:
+            raise DocumentError(f"{at}: duplicate index ({i}, {j})")
+        entries[(i, j)] = _parse_scalar(pair, mode, at)
+    return Matrix(nrows, ncols, entries)
 
 
 def _emit_plan(plan) -> list:

@@ -89,9 +89,8 @@ def _dirac_space(rep: Representation, grading: Matrix, j: Antilinear) -> list[Ma
         return 2 * (i * n + k) + part
 
     alg_diag = [[m.get(i, i) for m in rep.basis_matrices] for i in range(n)]
-    opp_diag = [
-        [j.conjugate_operator(rep.apply(e.star())).get(i, i) for e in basis] for i in range(n)
-    ]
+    opposites = [j.conjugate_operator(rep.apply(e.star())) for e in basis]
+    opp_diag = [[m.get(i, i) for m in opposites] for i in range(n)]
 
     rows = []
     gdiag = [grading.get(i, i) for i in range(n)]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,9 @@ from spectriple import cli, scalars
 from spectriple.cli import main
 from spectriple.docio import (DocumentError, emit_document, load_document, parse_document,
                               save_document)
+from spectriple.matrices import Matrix
 from spectriple.standard_model import YukawaParams, build_fiber_triple
+from spectriple.twist import TwistData
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 KO0 = os.path.join(FIXTURES, "ko0_toy.json")
@@ -313,3 +316,209 @@ def test_exact_entries_read_as_the_fraction_parser_reads_them(tmp_path, capsys, 
     got = scalars.real_part(parse_document(load_document(path)).triple.dirac.get(0, 0))
     assert got == want
     assert type(got) is (int if want.denominator == 1 else scalars._RAT_TYPE)
+
+
+# -- sparse matrices -------------------------------------------------------
+
+SPARSE_SIGMA1 = {"shape": [2, 2], "entries": [[0, 1, ["1", "0"]], [1, 0, ["1", "0"]]]}
+
+
+def _dense(doc):
+    """The same document with every sparse matrix written as dense rows."""
+    zero = ["0", "0"] if doc["mode"] == "exact" else [0.0, 0.0]
+
+    def rows(m):
+        if not isinstance(m, dict):
+            return m
+        n, k = m["shape"]
+        out = [[list(zero) for _ in range(k)] for _ in range(n)]
+        for i, j, v in m["entries"]:
+            out[i][j] = v
+        return out
+
+    return _map_matrices(doc, rows)
+
+
+def _sparse(doc):
+    """The same document with every dense matrix written sparse, zeros left out."""
+    def entries(m):
+        if isinstance(m, dict):
+            return m
+        items = [[i, j, v] for i, row in enumerate(m) for j, v in enumerate(row)
+                 if any(Fraction(str(x)) for x in v)]
+        return {"shape": [len(m), len(m[0])], "entries": items}
+
+    return _map_matrices(doc, entries)
+
+
+def _map_matrices(doc, f):
+    doc = json.loads(json.dumps(doc))
+    for key in ("dirac", "grading", "identification"):
+        if doc.get(key) is not None:
+            doc[key] = f(doc[key])
+    for key, sub in (("real_structure", "u"), ("twist", "r")):
+        if doc.get(key) is not None and doc[key].get(sub) is not None:
+            doc[key][sub] = f(doc[key][sub])
+    if "matrices" in doc["representation"]:
+        doc["representation"]["matrices"] = [f(m) for m in doc["representation"]["matrices"]]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def twisted_sm_docs(tmp_path_factory):
+    """`sm --dump-twisted` in exact and float mode: {mode: path}."""
+    root = tmp_path_factory.mktemp("twisted-sm")
+    paths = {}
+    for mode in ("exact", "float"):
+        paths[mode] = str(root / f"{mode}.json")
+        assert run_cli("sm", "--mode", mode, "--dump-twisted", paths[mode]) == 0
+    return paths
+
+
+def test_emit_writes_sparse_exactly_below_half_nonzero():
+    from spectriple.docio import _emit_matrix
+
+    assert isinstance(_emit_matrix(Matrix.identity(2), "exact"), list)
+    assert _emit_matrix(Matrix.unit(2, 2, 0, 1), "exact") == {
+        "shape": [2, 2], "entries": [[0, 1, ["1", "0"]]]}
+    assert _emit_matrix(Matrix.zeros(1, 3), "float") == {"shape": [1, 3], "entries": []}
+    diag = Matrix.diagonal([2, 0, 3])
+    assert _emit_matrix(diag, "float")["entries"] == [[0, 0, [2.0, 0.0]], [2, 2, [3.0, 0.0]]]
+
+
+def test_every_matrix_field_reads_either_form():
+    parsed = parse_document(load_document(KO6))
+    t = parsed.triple
+    explicit = spectriple.Representation(t.spec, t.dim, t.rep.basis_matrices)
+    doc = emit_document(dataclasses.replace(t, rep=explicit), "exact",
+                        twist=TwistData((0,), (False,), Matrix.identity(2)),
+                        identification=Matrix.identity(2))
+    assert isinstance(doc["representation"]["matrices"][0], list)
+    sparse = _sparse(doc)
+    assert isinstance(sparse["representation"]["matrices"][0], dict)
+    assert isinstance(sparse["twist"]["r"], dict) and isinstance(sparse["real_structure"]["u"], dict)
+    a, b = parse_document(doc), parse_document(sparse)
+    assert (a.triple, a.twist, a.identification) == (b.triple, b.twist, b.identification)
+    assert a.triple.rep.plan is None
+
+
+def test_explicit_zero_in_a_sparse_matrix_is_not_stored():
+    doc = load_document(KO6)
+    doc["dirac"] = {"shape": [2, 2], "entries": [[0, 0, ["0", "0"]], *SPARSE_SIGMA1["entries"]]}
+    assert parse_document(doc).triple.dirac.nnz() == 2
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_twisted_sm_document_is_sparse_and_roundtrips(twisted_sm_docs, mode):
+    path = twisted_sm_docs[mode]
+    assert os.path.getsize(path) < 100_000
+    doc = load_document(path)
+    assert doc["dirac"]["shape"] == [128, 128]
+    parsed = parse_document(doc)
+    again = emit_document(parsed.triple, parsed.mode, twist=parsed.twist,
+                          identification=parsed.identification, metadata=parsed.metadata)
+    assert again == doc
+
+
+@pytest.mark.slow
+def test_dense_and_sparse_twisted_sm_documents_agree(twisted_sm_docs, tmp_path, capsys):
+    sparse_path = twisted_sm_docs["exact"]
+    dense_doc = _dense(load_document(sparse_path))
+    assert isinstance(dense_doc["dirac"], list) and len(dense_doc["dirac"]) == 128
+    dense_path = str(tmp_path / "dense.json")
+    save_document(dense_doc, dense_path)
+
+    a = parse_document(load_document(dense_path))
+    b = parse_document(load_document(sparse_path))
+    assert a.triple == b.triple
+    assert a.twist == b.twist
+    assert a.identification == b.identification
+
+    capsys.readouterr()
+    assert run_cli("real-part", dense_path, "--json") == 0
+    dense_report = capsys.readouterr().out
+    assert run_cli("real-part", sparse_path, "--json") == 0
+    assert capsys.readouterr().out == dense_report
+
+
+EYE3_SPARSE = {"shape": [3, 3], "entries": [[i, i, ["1", "0"]] for i in range(3)]}
+
+
+def _sparse_dirac(**changes):
+    return lambda doc: doc.update(dirac={**SPARSE_SIGMA1, **changes})
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_sparse_dirac(entries=[[0, 2, ["1", "0"]]]), "dirac.entries[0]: index (0, 2) outside 2x2"),
+    (_sparse_dirac(entries=[[-1, 0, ["1", "0"]]]), "dirac.entries[0]: index (-1, 0) outside 2x2"),
+    (_sparse_dirac(entries=[*SPARSE_SIGMA1["entries"], [0, 1, ["2", "0"]]]),
+     "dirac.entries[2]: duplicate index (0, 1)"),
+    (_sparse_dirac(entries=[[True, 1, ["1", "0"]]]),
+     "dirac.entries[0]: indices must be integers, got (True, 1)"),
+    (_sparse_dirac(entries=[[0, 1.0, ["1", "0"]]]),
+     "dirac.entries[0]: indices must be integers, got (0, 1.0)"),
+    (_sparse_dirac(entries=[[0, 1]]), "dirac.entries[0]: an entry is [i, j, [re, im]]"),
+    (_sparse_dirac(entries=[[0, 1, "1", "0"]]), "dirac.entries[0]: an entry is [i, j, [re, im]]"),
+    (_sparse_dirac(entries=[[0, 1, ["1"]]]), "dirac.entries[0]: complex entries are [re, im] pairs"),
+    (_sparse_dirac(entries={"0": 1}), "dirac.entries: expected a list of [i, j, [re, im]]"),
+    (_sparse_dirac(format="coo"), "dirac: unexpected key 'format' in a sparse matrix"),
+    (lambda doc: doc.update(dirac={"shape": [2, 2]}),
+     "dirac: a sparse matrix needs 'shape' and 'entries'"),
+    (_sparse_dirac(shape=[0, 2]), "dirac.shape: expected two positive integers, got [0, 2]"),
+    (_sparse_dirac(shape=[2, -2]), "dirac.shape: expected two positive integers, got [2, -2]"),
+    (_sparse_dirac(shape=[2, True]), "dirac.shape: expected two positive integers, got [2, True]"),
+    (_sparse_dirac(shape=2), "dirac.shape: expected two positive integers, got 2"),
+    (lambda doc: doc.update(mode="float", dirac={**SPARSE_SIGMA1, "entries": [[0, 1, [float("nan"), 0]]]}),
+     "dirac.entries[0]: float entries must be finite"),
+    (lambda doc: doc.update(mode="float", dirac={**SPARSE_SIGMA1, "entries": [[0, 1, [0, float("-inf")]]]}),
+     "dirac.entries[0]: float entries must be finite"),
+    (lambda doc: doc["real_structure"].update(u={**SPARSE_SIGMA1, "entries": [[0, 1, ["1/0", "0"]]]}),
+     "real_structure.u.entries[0]: bad exact rational"),
+])
+def test_malformed_sparse_matrix_is_malformed_input(tmp_path, mutate, message):
+    code, err = run_subprocess("validate", _mutated_ko6(tmp_path, mutate))
+    assert code == 2
+    assert message in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, mutate", [
+    ("twist.r", lambda doc: doc.update(twist={"perm": [0], "conj": [False], "r": EYE3_SPARSE})),
+    ("identification", lambda doc: doc.update(identification=EYE3_SPARSE)),
+])
+@pytest.mark.parametrize("command", ["validate", "real-part", "twist-by-grading"])
+def test_wrong_size_sparse_twist_or_identification_is_malformed(tmp_path, field, mutate, command):
+    args = [str(tmp_path / "out.json")] if command == "twist-by-grading" else []
+    code, err = run_subprocess(command, _mutated_ko6(tmp_path, mutate), *args)
+    assert code == 2
+    assert f"{field}: expected 2x2 (hilbert_dim), got 3x3" in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_sparse_dirac_document_validates(tmp_path):
+    code, err = run_subprocess("validate", _mutated_ko6(tmp_path, _sparse_dirac()))
+    assert (code, err) == (0, "")
+
+
+def test_undoubled_representation_is_not_validated_again(tmp_path, monkeypatch, capsys):
+    # pi(a) = pi2(a, a) is a representation whenever the parsed pi2 is
+    doubled = str(tmp_path / "doubled.json")
+    assert run_cli("twist-by-grading", KO0, doubled) == 0
+    calls = []
+    validate = spectriple.Representation.validate
+    monkeypatch.setattr(spectriple.Representation, "validate",
+                        lambda self: calls.append(self) or validate(self))
+
+    def real_part_run():
+        calls.clear()
+        capsys.readouterr()
+        assert run_cli("real-part", doubled, "--json") == 0
+        return len(calls), capsys.readouterr().out
+
+    skipped = real_part_run()
+    monkeypatch.setattr(cli, "Representation",
+                        lambda *args, **kw: spectriple.Representation(*args, **{**kw, "validate": True}))
+    checked = real_part_run()
+    assert skipped[0] == 2
+    assert checked == (skipped[0] + 1, skipped[1])
