@@ -250,7 +250,8 @@ class AlgebraElement:
             raise ValueError("coordinate vector has wrong length")
 
     def _exact(self) -> bool:
-        return all(scalars.is_exact(c) for c in self.coords)
+        # one mode per element: read its first coordinate
+        return not self.coords or scalars.is_exact(self.coords[0])
 
     def blocks(self) -> list:
         """Dense complex blocks, quaternions through their 2x2 embedding."""

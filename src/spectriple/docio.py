@@ -146,16 +146,26 @@ def _emit_plan(plan) -> list:
     ]
 
 
+def _typed(value, kind: type, where: str):
+    """value itself when its type is exactly kind (so no bool passes as an int)."""
+    if type(value) is not kind:
+        expected = "true or false" if kind is bool else "an integer"
+        raise DocumentError(f"{where}: expected {expected}, got {value!r}")
+    return value
+
+
 def _parse_plan(items, dim: int, where: str) -> list[Placement]:
     if not isinstance(items, list):
         raise DocumentError(f"{where}: a plan is a list of placements")
     out = []
     for k, item in enumerate(items):
         try:
-            p = Placement(int(item["summand"]), tuple(item["rows"]), tuple(item["cols"]),
-                          bool(item.get("conj", False)))
-        except (KeyError, TypeError, ValueError) as exc:
+            summand, rows, cols = item["summand"], tuple(item["rows"]), tuple(item["cols"])
+            conj = item.get("conj", False)
+        except (KeyError, TypeError) as exc:
             raise DocumentError(f"{where}[{k}]: bad placement: {exc}") from None
+        p = Placement(_typed(summand, int, f"{where}[{k}].summand"), rows, cols,
+                      _typed(conj, bool, f"{where}[{k}].conj"))
         for slot in p.rows + p.cols:
             if type(slot) is not int or not 0 <= slot < dim:
                 raise DocumentError(f"{where}[{k}]: slot {slot!r} outside 0..{dim - 1}")
@@ -262,20 +272,25 @@ def parse_document(doc: dict) -> ParsedDocument:
     signs = None
     if doc.get("signs") is not None:
         s = doc["signs"]
+        if not isinstance(s, dict):
+            raise DocumentError("signs must be an object")
+        eps, eps_prime = (_typed(s.get(key), int, f"signs.{key}") for key in ("eps", "eps_prime"))
+        eps_dprime = s.get("eps_dprime")
+        if eps_dprime is not None:
+            _typed(eps_dprime, int, "signs.eps_dprime")
         try:
-            signs = KOSigns(int(s["eps"]), int(s["eps_prime"]),
-                            None if s.get("eps_dprime") is None else int(s["eps_dprime"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            signs = KOSigns(eps, eps_prime, eps_dprime)
+        except ValueError as exc:
             raise DocumentError(f"signs: {exc}") from None
 
     twist = None
     if doc.get("twist") is not None:
         tw = doc["twist"]
-        try:
-            perm = tuple(int(x) for x in tw["perm"])
-            conjflags = tuple(bool(x) for x in tw.get("conj") or ())
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DocumentError(f"twist: {exc}") from None
+        if not (isinstance(tw, dict) and isinstance(tw.get("perm"), list)
+                and isinstance(tw.get("conj", []), (list, type(None)))):
+            raise DocumentError("twist must be an object with a 'perm' list and a 'conj' list")
+        perm = tuple(_typed(x, int, f"twist.perm[{k}]") for k, x in enumerate(tw["perm"]))
+        conjflags = tuple(_typed(x, bool, f"twist.conj[{k}]") for k, x in enumerate(tw.get("conj") or ()))
         r = _parse_matrix(tw["r"], mode, "twist.r", dim) if tw.get("r") is not None else None
         twist = TwistData(perm, conjflags, r)
 

@@ -8,10 +8,11 @@ generator works constructively:
      identification always intertwines the representation;
   2. pick the real structure from a catalogue of block swaps realizing each
      even KO sign pair;
-  3. solve, exactly, the real-linear system cutting out the space of Dirac
-     operators that are selfadjoint, anticommute with the grading, commute
-     with J, and satisfy the first-order condition, then draw a random
-     rational element of that space.
+  3. solve, exactly, for the space of Dirac operators that are selfadjoint,
+     anticommute with the grading, commute with J and satisfy the
+     first-order condition (a support rule on the entries, then the axiom
+     checker's own maps solved by subspaces.kernel; see _dirac_space), and
+     draw a random rational element of that space.
 
 Everything is deterministic given the seed.  Hilbert dimensions stay small
 (2 h0 with h0 <= 4); the point is exact verification, not scale.
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 from . import scalars
 from .algebra import AlgebraSpec, BlockKind, Placement, Representation
 from .algebra import basis_elements
-from .matrices import Antilinear, Matrix
-from .scalars import QI, rational
-from .subspaces import real_nullspace
+from .matrices import Antilinear, Matrix, real_coords
+from .scalars import QI, QI_I, rational
+from .subspaces import kernel
 from .triple import FiniteRealTriple, KOSigns
 
 EVEN_KO = (0, 2, 4, 6)
@@ -72,85 +73,38 @@ def _real_structure(ko: int, h0: int, exact: bool = True) -> Antilinear:
 def _dirac_space(rep: Representation, grading: Matrix, j: Antilinear) -> list[Matrix]:
     """Exact basis of Dirac operators compatible with all axioms.
 
-    The unknown is a full complex n x n matrix (2 n^2 real variables);
-    selfadjointness, grading anticommutation, J commutation and the
-    first-order condition are all real-linear constraints on it.  With a
-    diagonal representation the first-order condition degenerates to a
-    support condition: entry (i, j) survives only if the algebra or its
-    opposite cannot separate the slots i and j.
+    With a diagonal representation and grading, the grading anticommutation
+    and the first-order condition become a support rule: entry (i, k) may be
+    nonzero only when slots i and k carry opposite grading signs and the
+    algebra or its opposite cannot separate them.  The unknowns are the real
+    and imaginary parts of the allowed entries; selfadjointness and JD = DJ
+    are the maps d - d* and U conj(d) - d U that check_axioms evaluates, one
+    real-coordinate column per unknown, and kernel solves them.
     """
     n = rep.dim
     exact = rep._exact()
-    basis = basis_elements(rep.spec, exact)
     if any(i != k for m in rep.basis_matrices for (i, k), _ in m.entries()):
         raise ValueError("the support shortcut needs a diagonal representation")
+    opposites = [j.conjugate_operator(rep.apply(e.star())) for e in basis_elements(rep.spec, exact)]
+    alg = [[m.get(i, i) for m in rep.basis_matrices] for i in range(n)]
+    opp = [[m.get(i, i) for m in opposites] for i in range(n)]
+    sign = [grading.get(i, i) for i in range(n)]
+    allowed = [(i, k) for i in range(n) for k in range(n)
+               if sign[i] != sign[k] and (alg[i] == alg[k] or opp[i] == opp[k])]
+    parts = (scalars.as_scalar(1, exact), scalars.as_scalar(QI_I, exact))
+    unknowns = [Matrix(n, n, {ik: p}) for ik in allowed for p in parts]
 
-    def var(i, k, part):
-        return 2 * (i * n + k) + part
+    def conditions(d: Matrix) -> dict:
+        out = real_coords(d - d.adjoint())
+        out.update((2 * n * n + c, v) for c, v in real_coords(j.U @ d.conj() - d @ j.U).items())
+        return out
 
-    alg_diag = [[m.get(i, i) for m in rep.basis_matrices] for i in range(n)]
-    opposites = [j.conjugate_operator(rep.apply(e.star())) for e in basis]
-    opp_diag = [[m.get(i, i) for m in opposites] for i in range(n)]
-
-    rows = []
-    gdiag = [grading.get(i, i) for i in range(n)]
-    umap = {}
-    for (r, c), v in j.U.entries():
-        umap[r] = (c, v)
-
-    for i in range(n):
-        for k in range(n):
-            # grading anticommutation kills same-eigenspace entries
-            if gdiag[i] == gdiag[k]:
-                rows.append({var(i, k, 0): 1})
-                rows.append({var(i, k, 1): 1})
-                continue
-            # first order: slots must be indistinguishable to A or to A°
-            alg_equal = alg_diag[i] == alg_diag[k]
-            opp_equal = opp_diag[i] == opp_diag[k]
-            if not (alg_equal or opp_equal):
-                rows.append({var(i, k, 0): 1})
-                rows.append({var(i, k, 1): 1})
-    # selfadjointness: real diagonal, conjugate-symmetric off-diagonal
-    for i in range(n):
-        rows.append({var(i, i, 1): 1})
-        for k in range(i + 1, n):
-            rows.append({var(i, k, 0): 1, var(k, i, 0): -1})
-            rows.append({var(i, k, 1): 1, var(k, i, 1): 1})
-    # J D = D J, i.e. U conj(D) = D U for the signed-permutation U:
-    # (U conj D)[i, k] = s_i conj(D[c_i, k]) and (D U)[i, k] = s'_k D[i, r_k]
-    winv = {c: (r, v) for r, (c, v) in umap.items()}
-    for i in range(n):
-        ci, si = umap[i]
-        s1 = 1 if _is_positive(si) else -1
-        for k in range(n):
-            rk, sk = winv[k]
-            s2 = 1 if _is_positive(sk) else -1
-            rows.append(_merge_row({var(ci, k, 0): s1, var(i, rk, 0): -s2}))
-            rows.append(_merge_row({var(ci, k, 1): -s1, var(i, rk, 1): -s2}))
-
-    sol = real_nullspace(rows, 2 * n * n)
     mats = []
-    for vec in sol.vectors:
-        entries = {}
-        for i in range(n):
-            for k in range(n):
-                re, im = vec[var(i, k, 0)], vec[var(i, k, 1)]
-                if re != 0 or im != 0:
-                    entries[(i, k)] = QI(re, im) if exact else complex(re, im)
+    for vec in kernel(map(conditions, unknowns)).vectors:
+        entries = {ik: QI(re, im) if exact else complex(re, im)
+                   for ik, re, im in zip(allowed, vec[::2], vec[1::2])}
         mats.append(Matrix(n, n, entries))
     return mats
-
-
-def _is_positive(v) -> bool:
-    return scalars.real_part(v) > 0
-
-
-def _merge_row(row: dict) -> dict:
-    out = {}
-    for k, v in row.items():
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v != 0}
 
 
 def generate_case(rng: random.Random, ko: int | None = None, exact: bool = True) -> FuzzCase:

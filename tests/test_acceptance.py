@@ -101,6 +101,18 @@ def test_criterion_3_dichotomy_campaign(campaign, ko6_toy):
                        f"KO-6 toy strict containment dims 1 < 2")
 
 
+def test_campaign_classes_carry_dirac_operators(campaign):
+    """Each KO class of the campaign mostly checks nonzero Dirac operators;
+    a generator that returned D = 0 would leave the first order and JD = DJ
+    vacuous on that class."""
+    nonzero = {ko: 0 for ko in (0, 2, 4, 6)}
+    for case in campaign:
+        nonzero[case["ko"]] += not case["triple"].dirac.is_zero()
+    print(f"nonzero Dirac operators per KO class: {nonzero}")
+    assert nonzero[0] >= 50
+    assert nonzero[4] >= 50 and nonzero[6] >= 50
+
+
 def test_criterion_4_real_part_suite(campaign):
     total = len(campaign)
     passed = sum(1 for case in campaign if case["real_part"].ok)

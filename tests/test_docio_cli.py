@@ -271,6 +271,31 @@ def test_plan_slot_out_of_range_names_the_placement(tmp_path):
 
 
 
+def _set_placement(**changes):
+    return lambda doc: doc["representation"]["plan"][0].update(changes)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set_placement(summand=0.7), "representation.plan[0].summand: expected an integer, got 0.7"),
+    (_set_placement(summand=True), "representation.plan[0].summand: expected an integer, got True"),
+    (_set_placement(conj="no"), "representation.plan[0].conj: expected true or false, got 'no'"),
+    (_set_placement(conj=0), "representation.plan[0].conj: expected true or false, got 0"),
+    (lambda doc: doc.update(signs={"eps": 1.9, "eps_prime": 1, "eps_dprime": -1}),
+     "signs.eps: expected an integer, got 1.9"),
+    (lambda doc: doc.update(signs={"eps": 1, "eps_prime": 1, "eps_dprime": "-1"}),
+     "signs.eps_dprime: expected an integer, got '-1'"),
+    (lambda doc: doc.update(twist={"perm": [0.0], "conj": [False], "r": None}),
+     "twist.perm[0]: expected an integer, got 0.0"),
+    (lambda doc: doc.update(twist={"perm": [0], "conj": [1], "r": None}),
+     "twist.conj[0]: expected true or false, got 1"),
+])
+def test_wrongly_typed_plan_sign_or_twist_field_is_malformed(tmp_path, mutate, message):
+    code, err = run_subprocess("validate", _mutated_ko6(tmp_path, mutate))
+    assert code == 2
+    assert message in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 EYE3 = [[["1" if i == j else "0", "0"] for j in range(3)] for i in range(3)]
 
 

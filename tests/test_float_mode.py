@@ -1,13 +1,17 @@
 """Float-backend coverage: the same code paths under the global tolerance."""
 
+import random
+
 import pytest
 
-from spectriple.algebra import AlgebraSpec, BlockKind, Placement, Representation, basis_elements
+from spectriple.algebra import (AlgebraSpec, BlockKind, Placement, Representation, basis_elements,
+                                parse_kind, random_element, zero_element)
 from spectriple.fuzz import generate_cases
 from spectriple.matrices import Antilinear, Matrix
 from spectriple.realpart import real_part, verify_doubling_dichotomy
 from spectriple.standard_model import YukawaParams, build_internal_triple, internal_representation
 from spectriple.triple import FiniteRealTriple, check_axioms, check_first_order, check_order_zero
+from spectriple.twist import TwistData
 
 
 def float_ko6_toy():
@@ -90,3 +94,17 @@ def test_pullback_coordinates_stay_in_the_representation_mode(exact):
             assert not any(isinstance(c, float) for c in x.coords)
         else:
             assert all(type(c) is float for c in x.coords)
+
+
+def test_float_products_stars_and_twist_images_keep_float_coordinates():
+    # AlgebraElement._exact reads one coordinate, so an element must never
+    # mix float and exact coordinates
+    spec = AlgebraSpec(tuple(parse_kind(k) for k in ("R", "C", "H", "M2(C)", "C")))
+    swap = TwistData((0, 4, 2, 3, 1), (False, True, False, True, True))
+    rng = random.Random(3)
+    elements = [random_element(spec, rng, exact=False) for _ in range(4)]
+    elements += basis_elements(spec, exact=False) + [zero_element(spec, exact=False)]
+    for a in elements:
+        for b in elements[:4]:
+            for x in (a * b, b * a, a.star(), a.conj(), swap.apply(a), swap.apply_inverse(a)):
+                assert all(type(c) is float for c in x.coords), x.coords
