@@ -180,8 +180,9 @@ def cmd_real_part(args) -> int:
     if parsed.metadata.get("construction") == "twist-by-grading" and parsed.twist is not None:
         initial = _undoubled(t)
         if initial is not None:
-            report.extend(verify_doubling_dichotomy(initial, parsed.identification),
-                          prefix="dichotomy_")
+            # twisting again checks the document's identification against the initial triple
+            twisted = twist_by_grading(initial, parsed.identification)
+            report.extend(verify_doubling_dichotomy(initial, twisted), prefix="dichotomy_")
     return _finish(report, args.json)
 
 
@@ -281,11 +282,11 @@ def cmd_fuzz(args) -> int:
         ok &= axioms.ok and axioms.data.get("ko_dimension") == case.ko
         ok &= check_order_zero(case.triple).ok
         ok &= check_first_order(case.triple).ok
-        dichotomy = verify_doubling_dichotomy(case.triple)
+        doubled, rho = twist_by_grading(case.triple)
+        dichotomy = verify_doubling_dichotomy(case.triple, (doubled, rho))
         ok &= dichotomy.ok
         branch = dichotomy.data.get("branch")
         branches[branch] = branches.get(branch, 0) + 1
-        doubled, rho = twist_by_grading(case.triple)
         ok &= verify_real_part(doubled, rho).ok
         report.add(f"case_{idx:04d}", bool(ok), detail=f"ko={case.ko} branch={branch}")
         passed += bool(ok)

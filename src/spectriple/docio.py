@@ -154,7 +154,7 @@ def _typed(value, kind: type, where: str):
     return value
 
 
-def _parse_plan(items, dim: int, where: str) -> list[Placement]:
+def _parse_plan(items, spec: AlgebraSpec, dim: int, where: str) -> list[Placement]:
     if not isinstance(items, list):
         raise DocumentError(f"{where}: a plan is a list of placements")
     out = []
@@ -166,6 +166,12 @@ def _parse_plan(items, dim: int, where: str) -> list[Placement]:
             raise DocumentError(f"{where}[{k}]: bad placement: {exc}") from None
         p = Placement(_typed(summand, int, f"{where}[{k}].summand"), rows, cols,
                       _typed(conj, bool, f"{where}[{k}].conj"))
+        if not 0 <= summand < len(spec.summands):
+            raise DocumentError(f"{where}[{k}].summand: {summand} outside 0..{len(spec.summands) - 1}")
+        for key, slots in (("rows", rows), ("cols", cols)):
+            if len(slots) != spec.summands[summand].matrix_dim:
+                raise DocumentError(f"{where}[{k}].{key}: summand {summand} needs "
+                                    f"{spec.summands[summand].matrix_dim}, got {len(slots)}")
         for slot in p.rows + p.cols:
             if type(slot) is not int or not 0 <= slot < dim:
                 raise DocumentError(f"{where}[{k}]: slot {slot!r} outside 0..{dim - 1}")
@@ -244,7 +250,7 @@ def parse_document(doc: dict) -> ParsedDocument:
     if not isinstance(rep_spec, dict):
         raise DocumentError("representation must be an object")
     if "plan" in rep_spec:
-        plan = _parse_plan(rep_spec["plan"], dim, "representation.plan")
+        plan = _parse_plan(rep_spec["plan"], spec, dim, "representation.plan")
         rep = Representation.from_plan(spec, dim, plan, exact)
     elif "matrices" in rep_spec:
         mats = [

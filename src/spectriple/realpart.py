@@ -11,7 +11,8 @@ of A_J together with twist-commutation against one-forms.
 verify_doubling_dichotomy twists a graded triple by its grading and decides,
 from the KO signs, whether the doubled real part is the doubling of A_J
 (grading and real structure commute) or a copy of A n A° (they anticommute),
-verifying exact subspace equality either way.
+verifying exact subspace equality either way.  A twist's compatibility with
+the real structure is decided once, by real_part, and read from its result.
 """
 
 from __future__ import annotations
@@ -32,9 +33,13 @@ FLAG_NAMES = ("is_subalgebra", "is_commutative", "is_central", "is_star_closed",
 
 @dataclass(frozen=True)
 class RealPartResult:
+    """A_J with its flags; compatibility is real_part's passing
+    check_compatibility report, None under the identity twist."""
+
     basis: RealSubspaceBasis
     real_dimension: int
     flags: dict
+    compatibility: Report | None
 
     def elements(self, t: FiniteRealTriple) -> list[AlgebraElement]:
         return [AlgebraElement(t.spec, v) for v in self.basis.vectors]
@@ -51,16 +56,15 @@ def real_part(t: FiniteRealTriple, rho: TwistData | None = None) -> RealPartResu
         raise ValueError("real structure required")
     if rho is None:
         rho = identity_twist(t.spec)
-    if rho.R is not None:
-        compat = check_compatibility(t.real_structure, rho, t.rep)
-        if not compat.ok:
-            raise TwistError("twist is not compatible with the real structure")
+    compat = None if rho.R is None else check_compatibility(t.real_structure, rho, t.rep)
+    if compat is not None and not compat.ok:
+        raise TwistError("twist is not compatible with the real structure")
 
     u = t.real_structure.U
     commutators = (real_coords(m @ u - u @ m.conj()) for m in t.rep.basis_matrices)
     basis = _cast_basis(kernel(commutators), t.rep._exact())
     flags = _real_part_flags(t, basis, rho)
-    return RealPartResult(basis, basis.dim, flags)
+    return RealPartResult(basis, basis.dim, flags, compat)
 
 
 def _cast_basis(basis: RealSubspaceBasis, exact: bool) -> RealSubspaceBasis:
@@ -191,13 +195,16 @@ def _per_element(residuals):
     return ((f"real-part basis element {k}", r) for k, r in enumerate(residuals))
 
 
-def verify_doubling_dichotomy(t: FiniteRealTriple, identification=None) -> Report:
+def verify_doubling_dichotomy(t: FiniteRealTriple, twisted=None) -> Report:
     """Twist a graded real triple by its grading and test the dichotomy.
 
     With grading and real structure commuting (KO 0, 4) the doubled real
     part must equal pairs of A_J elements; with them anticommuting (KO 2, 6)
     it must equal {(a, J a J^{-1}) : a in A n A°}.  Equality is exact
     subspace equality in the doubled coordinates.
+
+    twisted must be the (doubled, rho) that twist_by_grading returned for t;
+    it is not re-checked.  None twists t by the default identification.
     """
     report = Report("doubling dichotomy")
     signs = inferred_signs(t)
@@ -206,10 +213,10 @@ def verify_doubling_dichotomy(t: FiniteRealTriple, identification=None) -> Repor
     ko = ko_dimension(signs)
     report.data["ko_dimension"] = ko
 
-    doubled, rho = twist_by_grading(t, identification)
-    compat = check_compatibility(t.real_structure, rho, doubled.rep)
-    report.add("twist_compatible", compat.ok,
-               detail=f"eps_triple = {compat.data.get('eps_triple')}")
+    doubled, rho = twist_by_grading(t) if twisted is None else twisted
+    rp2 = real_part(doubled, rho)  # raises TwistError when the twist is incompatible
+    report.add("twist_compatible", rp2.compatibility.ok,
+               detail=f"eps_triple = {rp2.compatibility.data.get('eps_triple')}")
 
     axioms = check_axioms(doubled)
     report.add("doubled_axioms", axioms.ok)
@@ -218,7 +225,6 @@ def verify_doubling_dichotomy(t: FiniteRealTriple, identification=None) -> Repor
                    tuple(axioms.data["signs"].values()) == signs.as_tuple(),
                    detail=str(axioms.data["signs"]))
 
-    rp2 = real_part(doubled, rho)
     k = t.spec.real_dimension
     a_j = real_part(t)
     inter = intersect_with_opposite(t)

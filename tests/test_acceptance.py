@@ -43,7 +43,7 @@ def campaign():
                 "triple": case.triple,
                 "doubled": doubled,
                 "rho": rho,
-                "dichotomy": verify_doubling_dichotomy(case.triple),
+                "dichotomy": verify_doubling_dichotomy(case.triple, (doubled, rho)),
                 "real_part": verify_real_part(doubled, rho),
             })
     return cases

@@ -296,6 +296,21 @@ def test_wrongly_typed_plan_sign_or_twist_field_is_malformed(tmp_path, mutate, m
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (_set_placement(summand=5), "representation.plan[0].summand: 5 outside 0..0"),
+    (_set_placement(summand=-1), "representation.plan[0].summand: -1 outside 0..0"),
+    (_set_placement(rows=[0, 1]), "representation.plan[0].rows: summand 0 needs 1, got 2"),
+    (_set_placement(cols=[]), "representation.plan[0].cols: summand 0 needs 1, got 0"),
+])
+@pytest.mark.parametrize("command", ["validate", "real-part", "twist-by-grading"])
+def test_plan_placement_that_does_not_fit_its_summand_is_malformed(tmp_path, mutate, message, command):
+    args = [str(tmp_path / "out.json")] if command == "twist-by-grading" else []
+    code, err = run_subprocess(command, _mutated_ko6(tmp_path, mutate), *args)
+    assert code == 2
+    assert message in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 EYE3 = [[["1" if i == j else "0", "0"] for j in range(3)] for i in range(3)]
 
 

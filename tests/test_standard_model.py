@@ -16,7 +16,7 @@ from spectriple.standard_model import (FIBER_DIM, INTERNAL_DIM, SM_SPEC, SMIndex
 from spectriple.triple import (check_axioms, check_first_order, check_order_zero,
                                check_twisted_first_order, inferred_signs, ko_dimension,
                                opposite_action)
-from spectriple.twist import check_compatibility
+from spectriple.twist import check_compatibility, twist_by_grading
 
 
 def test_index_bijections():
@@ -163,20 +163,22 @@ def test_verify_sm_real_part_given_the_models_gives_the_same_report(exact):
     assert verify_sm_real_part(models).to_dict() == verify_sm_real_part(p).to_dict()
 
 
-def test_models_doubled_representation_is_the_block_plan():
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_models_doubled_representation_is_the_block_plan(exact):
     rng = random.Random(32)
+    expected = Representation.from_plan(SM_SPEC.doubled(), FIBER_DIM, doubled_block_placements(),
+                                        exact, validate=False)
     for _ in range(2):
-        models = build_sm_models(YukawaParams.random(rng))
-        expected = Representation.from_plan(SM_SPEC.doubled(), FIBER_DIM, doubled_block_placements(),
-                                            validate=False)
+        models = build_sm_models(YukawaParams.random(rng, exact))
         assert models.doubled.rep == expected
+    assert build_twisted_sm(YukawaParams.random(rng, exact))[0].rep == expected
 
 
 @pytest.mark.slow
 def test_fiber_dichotomy_takes_intersection_branch():
     # KO 2: the doubled real part coincides with the copy of A n A°
     fiber = build_fiber_triple()
-    report = verify_doubling_dichotomy(fiber, sflip_identification())
+    report = verify_doubling_dichotomy(fiber, twist_by_grading(fiber, sflip_identification()))
     assert report.ok, report.render()
     assert report.data["branch"] == "intersection with the opposite"
     assert report.data["doubled_real_dimension"] == 1

@@ -1,14 +1,17 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from spectriple.algebra import AlgebraSpec, BlockKind, Placement, Representation, basis_elements
+from spectriple.docio import load_document, parse_document
 from spectriple.fuzz import generate_cases
 from spectriple.matrices import Antilinear, Matrix
 from spectriple.triple import (FiniteRealTriple, check_axioms, check_first_order,
                                check_twisted_first_order, inferred_signs)
 from spectriple.realpart import verify_real_part
+from spectriple.standard_model import YukawaParams, build_fiber_triple, sflip_identification
 from spectriple.twist import (TwistData, TwistError, check_compatibility, compatibility_sign,
                               identity_twist, twist_by_grading, twisted_commutator, twisted_image)
 
@@ -231,3 +234,34 @@ def test_failed_twist_sign_reports_its_distance():
     assert not sign.passed
     assert sign.residual == pytest.approx(2 ** 0.5)
     assert sign.detail == "J R = +-R J fails for both signs"
+
+
+def _doubling_inputs(exact: bool):
+    """Both fixture documents, four fuzz cases per KO class and the
+    standard-model fiber (with its s-flip identification), in one mode."""
+    fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
+    for name in ("ko0_toy.json", "ko6_toy.json"):
+        doc = load_document(os.path.join(fixtures, name))
+        doc["mode"] = "exact" if exact else "float"
+        yield parse_document(doc).triple, None
+    for ko in (0, 2, 4, 6):
+        for case in generate_cases(40 + ko, 4, ko=ko, exact=exact):
+            yield case.triple, None
+    p = YukawaParams.random(random.Random(5), exact)
+    yield build_fiber_triple(p), sflip_identification(exact)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_split_plan_rebuilds_the_projected_representation(exact):
+    # twist_by_grading attaches its split plan without rebuilding from it;
+    # the plan must give exactly the projected matrices P+- pi(e_k)
+    planned = 0
+    for t, identification in _doubling_inputs(exact):
+        doubled, _ = twist_by_grading(t, identification)
+        if doubled.rep.plan is None:
+            continue
+        planned += 1
+        rebuilt = Representation.from_plan(doubled.spec, doubled.dim, doubled.rep.plan, exact,
+                                           validate=False)
+        assert rebuilt.basis_matrices == doubled.rep.basis_matrices
+    assert planned == 19
