@@ -350,6 +350,23 @@ def basis_elements(spec: AlgebraSpec, exact: bool = True) -> list[AlgebraElement
     return [basis_element(spec, k, exact) for k in range(spec.real_dimension)]
 
 
+def generator_indices(spec: AlgebraSpec) -> list[int]:
+    """Indices of coordinate basis elements whose products span the algebra.
+
+    Per summand: 1 for R; 1, i for C; 1, i, j for H; for M_n(F) with n >= 2
+    the cycle units E_{k,k+1 mod n} (real coordinate), whose products are
+    every real matrix unit E_kl, and i E_11 over C, i E_11 and j E_11 over
+    H, which multiply those into every coordinate.  The whole basis when
+    every summand is R or C.
+    """
+    out = []
+    for kind, off in zip(spec.summands, spec.offsets()):
+        n, per = kind.n, kind.per_entry
+        units = [0] if n == 1 else [per * (k * n + (k + 1) % n) for k in range(n)]
+        out += [off + u for u in units] + [off + c for c in range(1, min(per, 3))]
+    return sorted(out)
+
+
 def random_element(spec: AlgebraSpec, rng, exact: bool = True, span: int = 3) -> AlgebraElement:
     if exact:
         coords = tuple(

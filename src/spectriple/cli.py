@@ -216,7 +216,8 @@ def cmd_sm(args) -> int:
 
     models = build_sm_models(params)
     internal, fiber, doubled, rho = models
-    report = verify_sm_real_part(models)
+    rp = real_part(doubled, rho)  # raises TwistError when the twist is incompatible
+    report = verify_sm_real_part(models, rp)
 
     d_maj = fiber_majorana(params)
     report.data["majorana_span_untwisted"] = omega1_span(fiber, dirac=d_maj).dimension
@@ -228,7 +229,7 @@ def cmd_sm(args) -> int:
         report.extend(check_order_zero(fiber), prefix="fiber_")
         report.extend(check_first_order(fiber), prefix="fiber_")
         report.extend(check_twisted_first_order(doubled, rho), prefix="twisted_")
-        report.extend(verify_real_part(doubled, rho), prefix="twisted_real_part_")
+        report.extend(verify_real_part(doubled, rho, rp), prefix="twisted_real_part_")
 
     if args.dump_fiber:
         save_document(

@@ -24,8 +24,8 @@ from .algebra import AlgebraElement, basis_elements, identity_element
 from .matrices import commutator, real_coords
 from .reports import Report
 from .subspaces import RealSubspaceBasis, kernel, solve_real_linear
-from .triple import (FiniteRealTriple, basis_pairs, check_axioms, first_order_sweep, inferred_signs,
-                     ko_dimension)
+from .triple import (FiniteRealTriple, basis_pairs, check_axioms, first_order_pairs, inferred_signs,
+                     ko_dimension, twisted_images)
 from .twist import TwistData, TwistError, check_compatibility, identity_twist, opposite_pair, twist_by_grading
 
 FLAG_NAMES = ("is_subalgebra", "is_commutative", "is_central", "is_star_closed", "is_rho_stable")
@@ -149,19 +149,22 @@ def structure_label(t: FiniteRealTriple, basis: RealSubspaceBasis) -> str:
     return f"commutative, dim {basis.dim}"
 
 
-def verify_real_part(t: FiniteRealTriple, rho: TwistData | None = None) -> Report:
+def verify_real_part(t: FiniteRealTriple, rho: TwistData | None = None,
+                     rp: RealPartResult | None = None) -> Report:
     """Check that A_J behaves as a real part should.
 
     Verifies the structural flags, that (A_J, H, D) with the same grading,
     real structure and twist is again a valid (twisted) triple, and that
     every element of A_J twist-commutes with all generated one-forms.
+    rp must be real_part(t, rho) when given; None computes it.
     """
     report = Report("real part verification")
     if rho is None:
         rho, variant = identity_twist(t.spec), "untwisted variant"
     else:
         variant = "twisted variant"
-    rp = real_part(t, rho)
+    if rp is None:
+        rp = real_part(t, rho)
     report.data["real_dimension"] = rp.real_dimension
     report.data["structure"] = structure_label(t, rp.basis)
     for name in FLAG_NAMES:
@@ -183,8 +186,8 @@ def verify_real_part(t: FiniteRealTriple, rho: TwistData | None = None) -> Repor
                  "a° = pi(a*) on the real part")
 
     report.sweep("subtriple_order_zero", basis_pairs(images, opposites, commutator, "real-part basis pair"))
-    first_order_sweep(report, "subtriple_first_order", t, rho, elements, images, pairs,
-                      "real-part basis pair", variant)
+    moved = twisted_images(t, rho, elements, images)
+    report.sweep("subtriple_first_order", first_order_pairs(t, moved, pairs, "real-part basis pair"), variant)
 
     report.extend(oneforms.check_twist_commutation(t, rho, elements), prefix="one_forms_")
     return report

@@ -35,7 +35,7 @@ from typing import NamedTuple
 from . import scalars
 from .algebra import AlgebraSpec, BlockKind, Placement, Representation, identity_element
 from .matrices import Antilinear, Matrix
-from .realpart import intersect_with_opposite, real_part, structure_label
+from .realpart import RealPartResult, intersect_with_opposite, real_part, structure_label
 from .reports import Report
 from .scalars import QI, as_scalar, conj, rational
 from .triple import FiniteRealTriple, KOSigns, check_axioms
@@ -379,7 +379,7 @@ def build_sm_models(p: YukawaParams | None = None) -> SMModels:
                     *twist_by_grading(fiber, sflip_identification(p.is_exact())))
 
 
-def verify_sm_real_part(p: YukawaParams | SMModels | None = None) -> Report:
+def verify_sm_real_part(p: YukawaParams | SMModels | None = None, rp: RealPartResult | None = None) -> Report:
     """End-to-end real-part computation for the twisted standard model.
 
     Checks: the twisted real part is one-dimensional and spanned by the
@@ -387,6 +387,7 @@ def verify_sm_real_part(p: YukawaParams | SMModels | None = None) -> Report:
     lambda I_3); the twist fixes it; and, independently, A n A° of the
     untwisted fiber triple equals its A_J, both one-dimensional.  Given
     parameters (or none, for the defaults), the models are built here.
+    rp must be real_part(doubled, rho) of the given models; None computes it.
     """
     models = p if isinstance(p, SMModels) else build_sm_models(p)
     internal, fiber, doubled, rho = models
@@ -402,7 +403,8 @@ def verify_sm_real_part(p: YukawaParams | SMModels | None = None) -> Report:
     report.add("fiber_ko_dimension", fiber_axioms.data.get("ko_dimension") == 2,
                detail=f"signs {fiber_axioms.data.get('signs')}")
 
-    rp = real_part(doubled, rho)  # raises TwistError when the twist is incompatible
+    if rp is None:
+        rp = real_part(doubled, rho)  # raises TwistError when the twist is incompatible
     report.add("twist_compatible", rp.compatibility.ok,
                detail=f"eps_triple = {rp.compatibility.data.get('eps_triple')}")
     report.data["twisted_real_dimension"] = rp.real_dimension

@@ -5,10 +5,11 @@ import pytest
 from spectriple import scalars
 from spectriple.algebra import (AlgebraElement, AlgebraSpec, BlockKind, Placement,
                                 Representation, RepresentationError, _block_basis_products,
-                                basis_element, basis_elements, center_basis,
+                                basis_element, basis_elements, center_basis, generator_indices,
                                 identity_element, parse_kind, random_element, zero_element)
 from spectriple.matrices import Matrix
 from spectriple.scalars import QI, RATIONAL_ZERO, conj, is_zero
+from spectriple.subspaces import Echelon
 from spectriple.twist import TwistData
 
 from conftest import qi
@@ -337,3 +338,48 @@ def test_same_summand_violations_are_rejected(exact):
     mats = Representation.from_plan(spec, 2, [Placement(0, (0, 1), (0, 1))], exact).basis_matrices
     with pytest.raises(RepresentationError, match=r"basis pair \(0, 2\)$"):
         Representation(spec, 2, [m.transpose() for m in mats])
+
+
+def _product_span_rank(spec: AlgebraSpec, indices) -> int:
+    """Rank of the real span of every product of the basis elements e_k, k in indices.
+
+    Each word that raises the rank is multiplied on the right by every
+    generator; a word that does not lies in the span of earlier words, and
+    so do its right multiples."""
+    gens = [basis_element(spec, k) for k in indices]
+    span = Echelon(spec.real_dimension)
+    frontier = [g for g in gens if span.add(g.coords)]
+    while frontier:
+        products = (w * g for w in frontier for g in gens)
+        frontier = [p for p in products if span.add(p.coords)]
+    return span.rank
+
+
+GENERATOR_KINDS = ["R", "C", "H", "M2(R)", "M2(C)", "M2(H)", "M3(C)"]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_generator_indices_generate_the_algebra(seed):
+    # seeds 0-7 draw every kind in GENERATOR_KINDS at least once
+    rng = random.Random(seed)
+    spec = AlgebraSpec(tuple(parse_kind(rng.choice(GENERATOR_KINDS)) for _ in range(rng.randint(2, 3))))
+    gens = generator_indices(spec)
+    assert _product_span_rank(spec, gens) == spec.real_dimension
+
+    # dropping the j unit of an H entry or one cycle unit E_{k,k+1 mod n} falls short
+    for kind, off in zip(spec.summands, spec.offsets()):
+        n, per = kind.n, kind.per_entry
+        dropped = [off + per * (k * n + (k + 1) % n) for k in range(n)] if n > 1 else []
+        dropped += [off + 2] if kind.family == "H" else []
+        for k in dropped:
+            assert k in gens
+            assert _product_span_rank(spec, [g for g in gens if g != k]) < spec.real_dimension
+
+
+def test_generator_counts():
+    sm = AlgebraSpec(tuple(map(parse_kind, ("C", "H", "M3(C)"))))
+    assert len(generator_indices(sm)) == 9 and sm.real_dimension == 24
+    assert len(generator_indices(sm.doubled())) == 18
+    # summands of R and C alone are their own generators
+    small = AlgebraSpec(tuple(map(parse_kind, ("R", "C", "C", "R"))))
+    assert generator_indices(small) == list(range(small.real_dimension))
